@@ -131,7 +131,7 @@ class ArbitraryDispersion:
 
         if core.sweep_port > 0:
             return self._sweep_round(state, view, core, eff, cluster, events)
-        return self._explore_round(state, view, core, eff, cluster, events)
+        return self._explore_round(state, view, core, eff, cluster, events, reset_round)
 
     @staticmethod
     def _eff_settled(settled_here, reset_round):
@@ -165,7 +165,7 @@ class ArbitraryDispersion:
         )
 
     # -- exploration -------------------------------------------------------------
-    def _explore_round(self, state, view, core, eff, cluster, events) -> Decision:
+    def _explore_round(self, state, view, core, eff, cluster, events, reset_round) -> Decision:
         my_pri = core.priority or 0
 
         if eff is None:
@@ -213,9 +213,14 @@ class ArbitraryDispersion:
             new = replace(core, waiting=True, forward=False, sweep_port=0)
             return self._finish(new, STAY, events=events)
 
-        # lower-priority or reset robot: adopt it into this cluster's tree
-        parent = None if view.entry_port == 0 else view.entry_port
-        cdr = _first_port(parent, view.degree)
+        # lower-priority or reset robot: adopt it into this cluster's tree.
+        # One reset this round becomes the root of the phase's new DFS: no
+        # parent, or a cycle closing back through the entry port would read
+        # as a return along a tree edge.  Its first pointer still skips the
+        # entry port, so the DFS does not start by going back the way the
+        # cluster came.
+        parent = None if view.entry_port == 0 or reset_round else view.entry_port
+        cdr = _first_port(view.entry_port, view.degree)
         sweeping = view.degree >= self.k
         writes = [
             Write(sid, "cid", core.cid),

@@ -20,7 +20,7 @@ from random import Random
 from . import graph as graphs
 from . import oracle
 from .arbitrary import ArbitraryDispersion
-from .engine import CrashSchedule, event_line, run
+from .engine import CrashSchedule, EngineError, event_line, run
 from .rooted import RootedDispersion
 
 
@@ -99,6 +99,8 @@ def default_clusters(n: int, ids: list[int], l: int) -> list[tuple[int, list[int
 def build_setup(cfg: dict, g: graphs.PortGraph):
     """Resolve (protocol, placement) from a config."""
     ids = robot_ids(cfg)
+    if len(ids) > g.node_count:
+        raise ConfigError(f"{len(ids)} robots cannot disperse on {g.node_count} nodes")
     kind = cfg.get("protocol")
     placement_spec = cfg.get("placement", {})
     knowledge = cfg.get("knowledge", {}) or {}
@@ -148,10 +150,19 @@ def _fault_count(cfg: dict, ids: list[int]) -> int:
     if "schedule" in spec:
         return len(spec["schedule"])
     if "random" in spec:
-        return int(spec["random"].get("f", 0))
+        return _random_fault_count(spec, ids)
     if "exhaustive" in spec:
         return int(spec["exhaustive"].get("f", 0))
     return 0
+
+
+def _random_fault_count(spec: dict, ids: list[int]) -> int:
+    f = int(spec["random"].get("f", 0))
+    if f < 0:
+        raise ConfigError("faults.random.f must not be negative")
+    if f > len(ids):
+        raise ConfigError("more faults than robots")
+    return f
 
 
 def build_schedule(cfg: dict, ids: list[int], budget: int) -> CrashSchedule:
@@ -161,11 +172,12 @@ def build_schedule(cfg: dict, ids: list[int], budget: int) -> CrashSchedule:
         for rid, _ in pairs:
             if rid not in ids:
                 raise ConfigError(f"crash schedule names unknown robot {rid}")
-        return CrashSchedule.from_pairs(pairs)
+        try:
+            return CrashSchedule.from_pairs(pairs)
+        except EngineError as exc:
+            raise ConfigError(f"bad crash schedule: {exc}") from exc
     if "random" in spec:
-        f = int(spec["random"].get("f", 0))
-        if f > len(ids):
-            raise ConfigError("more faults than robots")
+        f = _random_fault_count(spec, ids)
         rng = Random(spec["random"].get("seed", 0))
         victims = rng.sample(ids, f)
         return CrashSchedule.from_pairs([(v, rng.randint(1, budget)) for v in victims])
@@ -233,10 +245,8 @@ def cmd_run(args) -> int:
         return 0 if report.failures == 0 else 1
 
     schedule = build_schedule(cfg, ids, protocol.round_budget)
-    result = run(g, placement, protocol, schedule, max_rounds=cfg.get("max_rounds"))
     with open(out / "trace.jsonl", "w", encoding="utf-8") as fh:
-        for event in result.world.trace:
-            fh.write(event_line(event) + "\n")
+        result = run(g, placement, protocol, schedule, max_rounds=cfg.get("max_rounds"), trace_out=fh)
     summary = json.dumps(result.summary(), sort_keys=True)
     (out / "summary.json").write_text(summary + "\n")
     print(summary)

@@ -166,49 +166,48 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
         st = states.get(rid)
         if st is not None and st.alive:
             events.append(TraceEvent(rnd, rid, "crash", {"node": locations[rid]}))
-            states[rid] = replace(st, alive=False)
+            states[rid] = RobotState(st.id, False, st.settled, st.core)
             locations[rid] = None
             entry_ports[rid] = 0
 
-    # 2. local views
+    # 2. local views: every robot at a node shares one co-located tuple
+    alive = [rid for rid in sorted(states) if states[rid].alive]
     by_node: dict[int, list[RobotState]] = {}
-    for rid in sorted(states):
-        st = states[rid]
-        if st.alive:
-            by_node.setdefault(locations[rid], []).append(st)
+    for rid in alive:
+        by_node.setdefault(locations[rid], []).append(states[rid])
     co_located = {node: tuple(group) for node, group in by_node.items()}
 
     # 3. transitions (pure; evaluation order is irrelevant to outcomes)
+    transition = protocol.transition
+    degree = graph.degree
     decisions: dict[int, Decision] = {}
-    for rid in sorted(states):
-        st = states[rid]
-        if not st.alive:
-            continue
+    for rid in alive:
         node = locations[rid]
-        view = LocalView(graph.degree(node), entry_ports[rid], co_located[node])
-        decisions[rid] = protocol.transition(st, view)
+        decisions[rid] = transition(states[rid], LocalView(degree(node), entry_ports[rid], co_located[node]))
 
     # 4. self-updates first, then external writes on top (arbitrated)
     for rid, dec in decisions.items():
         st = states[rid]
-        settled = st.settled or dec.action == SETTLE
         if st.settled and dec.action == MOVE:
             raise EngineError(f"settled robot {rid} attempted to move")
-        states[rid] = replace(st, settled=settled, core=dec.core)
+        states[rid] = RobotState(st.id, st.alive, st.settled or dec.action == SETTLE, dec.core)
 
     contested: dict[tuple[int, str], list[tuple[int, int, object]]] = {}
     for rid, dec in decisions.items():
-        here = set(s.id for s in co_located[locations[rid]])
+        if not dec.writes:
+            continue
+        here = {s.id for s in co_located[locations[rid]]}
         for w in dec.writes:
             if w.target not in here:
                 raise WriteToNonCoLocated(f"robot {rid} wrote to non-co-located robot {w.target}")
             contested.setdefault((w.target, w.field), []).append((dec.writer_priority, rid, w.value))
     for (target, fname), writers in contested.items():
         _, _, value = max(writers, key=lambda t: (t[0], t[1]))
-        states[target] = replace(states[target], core=replace(states[target].core, **{fname: value}))
+        st = states[target]
+        states[target] = RobotState(st.id, st.alive, st.settled, replace(st.core, **{fname: value}))
 
     # 5. simultaneous actions
-    for rid in sorted(decisions):
+    for rid in alive:
         dec = decisions[rid]
         node = locations[rid]
         payload = {"node": node, "entry": entry_ports[rid]}
@@ -217,8 +216,8 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
         for kind, extra in dec.events:
             events.append(TraceEvent(rnd, rid, kind, {"node": node, **extra}))
         if dec.action == MOVE:
-            if not 1 <= dec.port <= graph.degree(node):
-                raise InvalidMovePort(f"robot {rid} chose port {dec.port} at a degree-{graph.degree(node)} node")
+            if not 1 <= dec.port <= degree(node):
+                raise InvalidMovePort(f"robot {rid} chose port {dec.port} at a degree-{degree(node)} node")
             dest, q = graph.neighbor(node, dec.port)
             locations[rid] = dest
             entry_ports[rid] = q
@@ -253,19 +252,27 @@ def memory_bits(state: RobotState, protocol) -> int:
     return protocol.memory_bits(state)
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def event_line(event: TraceEvent) -> str:
-    return json.dumps(
-        {"round": event.round, "robot": event.robot, "kind": event.kind, "payload": event.payload},
-        sort_keys=True,
-        separators=(",", ":"),
+    """One canonical JSON object: sorted keys, no spaces.  The outer object's
+    four keys are written directly, in their sorted order."""
+    return (
+        f'{{"kind":{_ENCODE(event.kind)},"payload":{_ENCODE(event.payload)},'
+        f'"robot":{event.robot:d},"round":{event.round:d}}}'
     )
 
 
-def trace_hash(trace: list[TraceEvent]) -> str:
+def trace_hash(trace: list[TraceEvent], out=None) -> str:
+    """SHA-256 of the trace's JSON lines; each line is also written to
+    ``out`` when one is given, so a run's trace file is encoded only once."""
     h = hashlib.sha256()
     for event in trace:
-        h.update(event_line(event).encode())
-        h.update(b"\n")
+        line = event_line(event) + "\n"
+        h.update(line.encode())
+        if out is not None:
+            out.write(line)
     return h.hexdigest()
 
 
@@ -276,8 +283,11 @@ def run(
     schedule: CrashSchedule | None = None,
     max_rounds: int | None = None,
     initial: WorldState | None = None,
+    trace_out=None,
 ) -> SimResult:
     """Drive rounds until no unsettled robot remains or the budget expires.
+
+    The trace's JSON lines are written to ``trace_out`` when one is given.
 
     The early exit cannot change outcomes: once every alive robot is settled
     the configuration is a fixed point of the protocols.
@@ -300,7 +310,7 @@ def run(
         world=world,
         rounds_elapsed=world.round,
         dispersed=is_dispersed(world, graph),
-        trace_hash=trace_hash(world.trace),
+        trace_hash=trace_hash(world.trace, trace_out),
         alive_count=alive,
         max_memory_bits=max_bits,
     )

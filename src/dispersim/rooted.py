@@ -166,6 +166,10 @@ class RootedDispersion:
         self.max_degree = max_degree
         self.rank = {rid: i for i, rid in enumerate(ids, start=1)}
         self.round_budget = 7 * self.k * self.k
+        # The engine hands every robot at a node the same co-located tuple,
+        # so the node's facts are computed once per tuple (see _node_facts).
+        self._facts_of = None
+        self._facts = None
 
     def init_core(self, rid: int) -> RootedCore:
         return RootedCore()
@@ -188,14 +192,11 @@ class RootedDispersion:
         if state.settled:
             return Decision(core, STAY, note={"mode": SETTLED})
 
-        unsettled = [s for s in view.co_located if not s.settled]
-        settled_here = next((s for s in view.co_located if s.settled), None)
-        at_root_marker = any(
-            s.core.mode == AT_ROOT for s in unsettled if s.id != state.id
-        ) or core.mode == AT_ROOT
+        settled_here, lowest_unsettled, pool, pool_ranks = self._node_facts(view.co_located)
+        at_root_marker = core.mode == AT_ROOT or any(s.id != state.id for s in pool)
 
         if settled_here is None:
-            if state.id == min(s.id for s in unsettled):
+            if state.id == lowest_unsettled:
                 new = settle_core(view.entry_port, view.degree, at_root_marker)
                 return Decision(
                     new,
@@ -216,19 +217,34 @@ class RootedDispersion:
             return Decision(core, STAY, note={"mode": core.mode, "rsr": core.rounds_out})
 
         if core.mode == AT_ROOT:
-            return self._pool_round(state, view, core, settled_here)
+            return self._pool_round(state, view, core, settled_here, pool_ranks)
         if core.mode == RETREAT:
             return self._retreat_round(state, view, core, settled_here, at_root_marker)
         return self._explore_round(state, view, core, settled_here, at_root_marker)
 
-    # -- waiting at the root -----------------------------------------------
-    def _pool_members(self, view: LocalView, exclude: int | None = None) -> list[int]:
-        return sorted(
-            self.rank[s.id]
-            for s in view.co_located
-            if not s.settled and s.core.mode == AT_ROOT and s.id != exclude
-        )
+    def _node_facts(self, co_located: tuple[RobotState, ...]):
+        """(first settled robot, lowest unsettled id, waiting pool in view
+        order, the pool's sorted ranks) of one node; the pool is the unsettled
+        robots in AT_ROOT mode.  Kept for the last tuple seen, which every
+        robot at that node shares within a round."""
+        if co_located is not self._facts_of:
+            settled = None
+            lowest = None
+            pool = []
+            for s in co_located:
+                if s.settled:
+                    if settled is None:
+                        settled = s
+                    continue
+                if lowest is None or s.id < lowest:
+                    lowest = s.id
+                if s.core.mode == AT_ROOT:
+                    pool.append(s)
+            self._facts = (settled, lowest, tuple(pool), tuple(sorted(self.rank[s.id] for s in pool)))
+            self._facts_of = co_located
+        return self._facts
 
+    # -- waiting at the root -----------------------------------------------
     def _pool_next(self, core: RootedCore, members: list[int]) -> tuple[int, int, int | None]:
         """Shared epoch bookkeeping; every waiting robot computes the same."""
         ar, ec = core.active_rank, core.epoch_clock
@@ -240,8 +256,7 @@ class RootedDispersion:
             return nxt, 1, nxt
         return 0, 0, None
 
-    def _pool_round(self, state: RobotState, view: LocalView, core: RootedCore, settled_here) -> Decision:
-        members = self._pool_members(view)
+    def _pool_round(self, state: RobotState, view: LocalView, core: RootedCore, settled_here, members) -> Decision:
         ar, ec, departer = self._pool_next(core, members)
         my_rank = self.rank[state.id]
         if departer == my_rank:
@@ -279,10 +294,8 @@ class RootedDispersion:
 
     def _join_pool(self, state: RobotState, view: LocalView, core: RootedCore, settled_this_round: bool = False) -> Decision:
         """A traveller back at the root adopts the waiting pool's counters."""
-        peer = next(
-            (s for s in view.co_located if not s.settled and s.core.mode == AT_ROOT and s.id != state.id),
-            None,
-        )
+        pool = self._node_facts(view.co_located)[2]
+        peer = next((s for s in pool if s.id != state.id), None)
         if peer is None:
             new = replace(core, mode=AT_ROOT, rounds_out=0, active_rank=0, epoch_clock=0)
             return Decision(new, STAY, note={"mode": AT_ROOT, "rejoined": True})
@@ -290,7 +303,7 @@ class RootedDispersion:
             # the pool froze its counters while the root refills
             ar, ec = peer.core.active_rank, peer.core.epoch_clock
         else:
-            members = self._pool_members(view, exclude=state.id)
+            members = sorted(self.rank[s.id] for s in pool if s.id != state.id)
             ar, ec, _ = self._pool_next(peer.core, members)
         new = replace(core, mode=AT_ROOT, rounds_out=0, active_rank=ar, epoch_clock=ec)
         return Decision(new, STAY, note={"mode": AT_ROOT, "rejoined": True})

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from dispersim import engine, graph as graphs, oracle
+import pytest
+
+from dispersim import cli, engine, graph as graphs, oracle
 from dispersim.arbitrary import ArbitraryCore, ArbitraryDispersion
 from dispersim.engine import (
     MOVE,
@@ -359,3 +361,70 @@ def test_unknown_parameters_fallback_budget():
     result = run(g, {1: 1, 2: 1, 3: 1, 4: 7, 5: 7, 6: 7}, proto)
     assert result.dispersed
     assert result.rounds_elapsed <= (k + 1) * k * k
+
+
+# -- phase roots ------------------------------------------------------------------------
+# A crash delays a cluster so that it is still exploring when the phase ends.
+# The settled robot it stands on then becomes the root of the new phase's DFS.
+# Given the entry port as parent pointer, a cycle closing back through that
+# port read as a return along a tree edge, and the cluster circled settled
+# nodes without settling anyone until the budget ran out.
+
+
+def _single_cluster_config(n: int, graph_seed: int, crashes: list) -> dict:
+    return {
+        "protocol": "arbitrary",
+        "graph": {"generator": "random_connected", "n": n, "m": 2 * n, "seed": graph_seed},
+        "robots": {"k": n // 2},
+        "placement": {"clusters": [{"node": 1, "robots": list(range(1, n // 2 + 1))}]},
+        "faults": {"schedule": crashes},
+    }
+
+
+def _corpus_instance(name: str, l: int):
+    g = dict(oracle.standard_corpus())[name]
+    ids = list(range(1, (g.node_count + 1) // 2 + 1))
+    clusters = cli.default_clusters(g.node_count, ids, l)
+    placement = {rid: node for node, grp in clusters for rid in grp}
+    groups = [grp for _, grp in clusters]
+    return g, placement, lambda: make_protocol(groups, g, faults=1)
+
+
+@pytest.mark.parametrize(
+    "n, graph_seed, crashes",
+    [
+        (100, 16, [[4, 270], [7, 12]]),
+        (60, 3, [[13, 35], [27, 115]]),
+        (20, 495, [[2, 8]]),
+    ],
+)
+def test_phase_root_after_delayed_cluster_disperses(n, graph_seed, crashes):
+    assert cli.run_config_dict(_single_cluster_config(n, graph_seed, crashes)).dispersed
+
+
+def test_phase_root_with_early_crash_in_corpus_graph():
+    for l in (1, 2):
+        g, placement, factory = _corpus_instance("rand17m29s13", l)
+        proto = factory()
+        result = run(g, placement, proto, CrashSchedule.from_pairs([(1, 2)]))
+        assert result.dispersed, f"l={l}"
+        assert result.rounds_elapsed <= proto.round_budget
+
+
+def test_single_crash_up_to_fault_free_stop_on_phase_root_graphs():
+    for name in ("rand13m26s43", "rand17m29s13"):
+        g, placement, factory = _corpus_instance(name, 1)
+        phase_len = factory().phase_len
+        stop = run(g, placement, factory()).rounds_elapsed
+
+        def check(result, schedule):
+            problems = []
+            if oracle.counter_disagreements(result.world.trace):
+                problems.append("counter disagreement")
+            if oracle.cluster_count_regressions(result.world.trace, phase_len):
+                problems.append("cluster count increased")
+            return problems
+
+        report = oracle.enumerate_adversary(g, placement, factory, f=1, horizon=stop, per_run_check=check)
+        assert report.schedules_tested == len(placement) * stop
+        assert report.failures == 0, f"{name}: {report.failure_examples[:1]}"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 
+import pytest
+
 from dispersim import cli
 
 
@@ -196,3 +198,18 @@ def test_run_rejects_bad_placement(tmp_path):
         "placement": {"clusters": [{"node": 1, "robots": [1, 2]}]},
     }
     assert cli.main(["run", "--config", write_config(tmp_path, "c2.json", cfg2), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"faults": {"schedule": [[2, 0]]}},  # crash rounds start at 1
+        {"faults": {"random": {"f": -1, "seed": 0}}},
+        {"graph": {"generator": "ring", "n": 4}, "robots": {"k": 6}},  # k > n
+    ],
+    ids=["crash-round-0", "negative-f", "k-above-n"],
+)
+def test_run_bad_input_is_config_error(tmp_path, capsys, change):
+    cfg = write_config(tmp_path, "bad.json", {**ROOTED_RING3, **change})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
