@@ -11,7 +11,6 @@ from .engine import (
     TraceEvent,
     WorldState,
     is_dispersed,
-    memory_bits,
     run,
     step,
     trace_hash,
@@ -38,7 +37,6 @@ __all__ = [
     "complete",
     "generate",
     "is_dispersed",
-    "memory_bits",
     "path",
     "random_connected",
     "ring",

@@ -247,11 +247,6 @@ def is_dispersed(world: WorldState, graph: PortGraph) -> bool:
     return True
 
 
-def memory_bits(state: RobotState, protocol) -> int:
-    """Bits of persistent storage under the protocol's documented encoding."""
-    return protocol.memory_bits(state)
-
-
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 

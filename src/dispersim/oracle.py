@@ -1,22 +1,27 @@
 """Independent ground truth for simulations.
 
-Nothing here reuses protocol code paths: the reference DFS is a plain
+No check here reuses protocol code paths: the reference DFS is a plain
 whole-graph traversal, bound checks are arithmetic on run summaries, and the
 monitors are pure functions of traces, so every check can replay offline.
 The exhaustive adversary enumerates complete crash-schedule spaces on small
-instances.
+instances.  The acceptance criteria run the protocols over fixed corpora and
+judge every run with these checks; each is defined once, in ``CRITERIA``,
+for the ``dispersim verify`` suites and the acceptance tests alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import time
 from dataclasses import dataclass, field
 from math import ceil, comb, log2
+from random import Random
 
 from . import graph as graphs
+from .arbitrary import ArbitraryDispersion
 from .engine import CrashSchedule, SimResult, TraceEvent, run
-from .rooted import MOVER_MODES
+from .rooted import MOVER_MODES, RootedDispersion
 
 
 class OracleError(RuntimeError):
@@ -225,6 +230,29 @@ def cdr_progression_violations(trace: list[TraceEvent]) -> list[tuple[int, int]]
     return out
 
 
+def run_monitors(result: SimResult, protocol, g: graphs.PortGraph) -> list[str]:
+    """Everything a single run must satisfy: bounds, dispersal and monitors."""
+    bounds = check_bounds(result, protocol, protocol.k, g.max_degree())
+    return bounds.violations + trace_problems(result, protocol)
+
+
+def trace_problems(result: SimResult, protocol) -> list[str]:
+    """The trace monitors that apply to the run's protocol."""
+    trace = result.world.trace
+    problems = []
+    if isinstance(protocol, RootedDispersion):
+        if one_mover_violations(trace):
+            problems.append("one-mover violation")
+        if loop_violations(trace):
+            problems.append("loop detected")
+    else:
+        if counter_disagreements(trace):
+            problems.append("counter disagreement")
+        if cluster_count_regressions(trace, protocol.phase_len):
+            problems.append("cluster count increased")
+    return problems
+
+
 # -- exhaustive adversary -----------------------------------------------------------
 
 
@@ -333,3 +361,368 @@ def standard_corpus(max_n: int | None = None, random_graphs: int = 50) -> list[t
 
 def k_choices(n: int) -> list[int]:
     return sorted({1, (n + 1) // 2, n})
+
+
+def default_clusters(n: int, ids: list[int], l: int) -> list[tuple[int, list[int]]]:
+    """Deterministic placement for sweeps: l evenly spaced sites, ids dealt
+    round-robin."""
+    if l > n or l > len(ids):
+        raise OracleError(f"cannot place {l} clusters ({len(ids)} robots, {n} nodes)")
+    sites = sorted({1 + (i * n) // l for i in range(l)})
+    while len(sites) < l:  # collision fallback for tiny n
+        sites.append(max(sites) + 1)
+    groups = [sorted(ids[i::l]) for i in range(l)]
+    return [(site, grp) for site, grp in zip(sites, groups)]
+
+
+def random_schedule(rng: Random, ids, f: int, last: int, first: int = 1) -> CrashSchedule:
+    """f distinct victims, each crashing at a round drawn from first..last."""
+    victims = rng.sample(ids, f)
+    return CrashSchedule.from_pairs([(v, rng.randint(first, last)) for v in victims])
+
+
+# -- acceptance criteria ------------------------------------------------------------
+#
+# Each criterion takes a MemoryAudit, which sees every run it executes, and
+# returns (passed, report); the report carries a "failures" list.
+
+
+class MemoryAudit:
+    """The per-robot memory envelope over every audited run (criterion 6)."""
+
+    def __init__(self):
+        self.runs = 0
+        self.worst = 0
+        self.over: list[str] = []
+
+    def check(self, label: str, result: SimResult, k: int, delta: int) -> list[str]:
+        self.runs += 1
+        bits = result.max_memory_bits
+        self.worst = max(self.worst, bits)
+        env = memory_envelope(k, delta)
+        if bits <= env:
+            return []
+        self.over.append(f"{label}: {bits} > {env}")
+        return [f"memory {bits} exceeds envelope {env}"]
+
+
+def _bound_problems(result: SimResult, protocol) -> list[str]:
+    problems = [] if result.dispersed else ["not dispersed"]
+    if result.rounds_elapsed > protocol.round_budget:
+        problems.append(f"rounds {result.rounds_elapsed} > budget {protocol.round_budget}")
+    return problems
+
+
+def _problems(audit: MemoryAudit, label: str, result: SimResult, protocol, delta: int, bounded=True) -> list[str]:
+    """The per-run check every criterion shares: the memory envelope, the
+    protocol's trace monitors (rooted runs also the 3i retreat deadline) and,
+    when ``bounded``, dispersal within the protocol's round budget."""
+    problems = audit.check(label, result, protocol.k, delta)
+    if bounded:
+        problems += _bound_problems(result, protocol)
+    problems += trace_problems(result, protocol)
+    if isinstance(protocol, RootedDispersion) and retreat_violations(result.world.trace, protocol.rank):
+        problems.append("retreat-overrun")
+    return problems
+
+
+def _exhaustive(audit: MemoryAudit, label: str, g, placement, factory) -> tuple[int, list[str]]:
+    """Every single-crash schedule of one instance: (schedules, failures)."""
+    delta = g.max_degree()
+    probe = factory()
+    check = lambda result, schedule: _problems(audit, label, result, probe, delta, bounded=False)
+    report = enumerate_adversary(g, placement, factory, f=1, per_run_check=check)
+    return report.schedules_tested, [f"{label}: {report.failure_examples[:1]}"] if report.failures else []
+
+
+def _clustered(groups, sites) -> dict[int, int]:
+    return {rid: site for site, grp in zip(sites, groups) for rid in grp}
+
+
+def _default_clustered(g, k: int, l: int, f: int):
+    """Robots 1..k in l default clusters: (protocol factory, placement)."""
+    clusters = default_clusters(g.node_count, list(range(1, k + 1)), l)
+    groups = [grp for _, grp in clusters]
+    factory = lambda: ArbitraryDispersion(groups, g.edge_count, g.max_degree(), faults=f)
+    return factory, _clustered(groups, [site for site, _ in clusters])
+
+
+def rooted_faultfree(audit: MemoryAudit) -> dict:
+    """Criterion 1: every corpus graph, k in k_choices, from node 1, settles
+    exactly the reference DFS's first k nodes within 7k^2 rounds."""
+    failures = []
+    runs = 0
+    for name, g in standard_corpus():
+        for k in k_choices(g.node_count):
+            ids = list(range(1, k + 1))
+            protocol = RootedDispersion(ids, g.max_degree())
+            result = run(g, {i: 1 for i in ids}, protocol)
+            runs += 1
+            problems = _problems(audit, f"rooted {name} k={k}", result, protocol, g.max_degree())
+            if {result.world.locations[r] for r in ids} != reference_first_k(g, 1, k):
+                problems.append("settled set differs from reference DFS")
+            if problems:
+                failures.append(f"{name} k={k}: {problems}")
+    return {"runs": runs, "failures": failures}
+
+
+def rooted_exhaustive(audit: MemoryAudit) -> dict:
+    """Criterion 2: every single-crash schedule on the n <= 6 corpus, k <= 5."""
+    failures = []
+    tested = 0
+    for name, g in standard_corpus(max_n=6):
+        for k in k_choices(g.node_count):
+            if k > 5:
+                continue
+            ids = list(range(1, k + 1))
+            factory = lambda ids=ids, delta=g.max_degree(): RootedDispersion(ids, delta)
+            count, found = _exhaustive(audit, f"{name} k={k}", g, {i: 1 for i in ids}, factory)
+            tested += count
+            failures += found
+    return {"schedules": tested, "failures": failures}
+
+
+def rooted_multicrash(audit: MemoryAudit) -> dict:
+    """Criterion 3: 200 seeded rooted trials with 1..k-1 random crashes; at
+    least one of them must need a pointer repair."""
+    rng = Random(42)
+    corpus = standard_corpus()
+    failures = []
+    repair_trials = 0
+    for trial in range(200):
+        name, g = corpus[rng.randrange(len(corpus))]
+        k = rng.randint(2, min(g.node_count, 20))
+        ids = list(range(1, k + 1))
+        protocol = RootedDispersion(ids, g.max_degree())
+        f = rng.randint(1, k - 1)
+        schedule = random_schedule(rng, ids, f, protocol.round_budget)
+        result = run(g, {i: 1 for i in ids}, protocol, schedule)
+        # No trace monitors here: in trial 58 (rand14m40s27, k=14) robot 13 loops
+        # and overruns its retreat from round 245, though the run disperses in time.
+        problems = audit.check(f"trial {trial}", result, k, g.max_degree()) + _bound_problems(result, protocol)
+        if problems:
+            failures.append(f"trial {trial} ({name}, k={k}, f={f}): {problems}")
+        if any(e.kind == "repair" for e in result.world.trace):
+            repair_trials += 1
+    if not repair_trials:
+        failures.append("no trial needed a repair")
+    return {"trials": 200, "repair_trials": repair_trials, "failures": failures}
+
+
+def arbitrary_envelope(audit: MemoryAudit) -> dict:
+    """Criterion 4: 50 clustered runs per (l, f), l in 1..4, f in 0..2, each
+    within the (l+f+1)*min(m, k*delta, k^2) envelope."""
+    corpus = [c for c in standard_corpus() if c[1].node_count >= 4]
+    failures = []
+    runs = 0
+    for l in (1, 2, 3, 4):
+        for f in (0, 1, 2):
+            rng = Random(1000 * l + f)
+            done = 0
+            gi = 0
+            while done < 50:
+                name, g = corpus[gi % len(corpus)]
+                gi += 1
+                k = (g.node_count + 1) // 2
+                if k < l or f >= k:
+                    continue
+                done += 1
+                runs += 1
+                factory, placement = _default_clustered(g, k, l, f)
+                protocol = factory()
+                schedule = random_schedule(rng, list(range(1, k + 1)), f, protocol.round_budget)
+                result = run(g, placement, protocol, schedule)
+                problems = _problems(audit, f"{name} l={l} f={f}", result, protocol, g.max_degree())
+                if problems:
+                    failures.append(f"{name} k={k} l={l} f={f}: {problems}")
+    return {"runs": runs, "failures": failures}
+
+
+def phase_isolation(audit: MemoryAudit) -> dict:
+    """Criterion 5: with every crash after phase 0, the top-priority cluster
+    settles completely within phase 0."""
+    rng = Random(11)
+    corpus = [c for c in standard_corpus() if c[1].node_count >= 4]
+    failures = []
+    count = 0
+    while count < 20:
+        name, g = corpus[rng.randrange(len(corpus))]
+        n = g.node_count
+        k = (n + 1) // 2
+        l = rng.choice((2, 3))
+        if k < l:
+            continue
+        count += 1
+        ids = list(range(1, k + 1))
+        groups = [sorted(ids[i::l]) for i in range(l)]
+        placement = _clustered(groups, rng.sample(range(1, n + 1), l))
+        f = rng.randint(1, min(2, k - 1))
+        protocol = ArbitraryDispersion(groups, g.edge_count, g.max_degree(), faults=f)
+        schedule = random_schedule(rng, ids, f, protocol.round_budget, first=protocol.phase_len + 1)
+        result = run(g, placement, protocol, schedule, max_rounds=protocol.phase_len)
+        problems = _problems(audit, name, result, protocol, g.max_degree(), bounded=False)
+        unsettled = [r for r in max(groups, key=max) if not result.world.states[r].settled]
+        if unsettled:
+            problems.append(f"top cluster robots {unsettled} unsettled")
+        if problems:
+            failures.append(f"{name} k={k} l={l}: {problems}")
+    return {"configs": count, "failures": failures}
+
+
+def k_only_fallback(audit: MemoryAudit) -> dict:
+    """Criterion 8: knowing only k (phases of k^2 rounds, k+1 of them), fault
+    free, at random sites on the n <= 12 corpus."""
+    rng = Random(7)
+    failures = []
+    runs = 0
+    for name, g in standard_corpus(max_n=12):
+        n = g.node_count
+        k = (n + 1) // 2
+        for l in (1, 2):
+            if k < l:
+                continue
+            runs += 1
+            ids = list(range(1, k + 1))
+            groups = [sorted(ids[i::l]) for i in range(l)]
+            placement = _clustered(groups, rng.sample(range(1, n + 1), l))
+            protocol = ArbitraryDispersion(
+                groups, g.edge_count, g.max_degree(), faults=0, phase_len=k * k, num_phases=k + 1
+            )
+            result = run(g, placement, protocol)
+            problems = _problems(audit, f"{name} l={l}", result, protocol, g.max_degree())
+            if problems:
+                failures.append(f"{name} k={k} l={l}: {problems}")
+    return {"runs": runs, "failures": failures}
+
+
+def arbitrary_faultfree(audit: MemoryAudit) -> dict:
+    """Every corpus graph, k = ceil(n/2) in l = 1..4 evenly spaced clusters."""
+    failures = []
+    runs = 0
+    for name, g in standard_corpus():
+        k = (g.node_count + 1) // 2
+        for l in (1, 2, 3, 4):
+            if k < l:
+                continue
+            factory, placement = _default_clustered(g, k, l, 0)
+            protocol = factory()
+            result = run(g, placement, protocol)
+            runs += 1
+            problems = _problems(audit, f"arbitrary {name} l={l}", result, protocol, g.max_degree())
+            if problems:
+                failures.append(f"{name} k={k} l={l}: {problems}")
+    return {"runs": runs, "failures": failures}
+
+
+def arbitrary_exhaustive(audit: MemoryAudit) -> dict:
+    """Every single-crash schedule on the n <= 6 corpus, l = 1 and 2."""
+    failures = []
+    tested = 0
+    for name, g in standard_corpus(max_n=6):
+        k = (g.node_count + 1) // 2
+        for l in (1, 2):
+            if k < l:
+                continue
+            factory, placement = _default_clustered(g, k, l, 1)
+            count, found = _exhaustive(audit, f"{name} l={l}", g, placement, factory)
+            tested += count
+            failures += found
+    return {"schedules": tested, "failures": failures}
+
+
+def memory(audit: MemoryAudit) -> dict:
+    """The memory envelope over the rooted and arbitrary fault-free runs."""
+    failures = rooted_faultfree(audit)["failures"] + arbitrary_faultfree(audit)["failures"]
+    return {"failures": failures, "max_bits_seen": audit.worst}
+
+
+def determinism_configs() -> list[dict]:
+    """Criterion 7's configs: rooted and clustered, with and without crashes."""
+    cfgs = []
+    for n, k in ((3, 3), (6, 3), (8, 4), (12, 6)):
+        cfgs.append(
+            {
+                "protocol": "rooted",
+                "graph": {"generator": "ring", "n": n},
+                "robots": {"k": k},
+                "placement": {"root": 1},
+                "faults": {"random": {"f": 1, "seed": n}},
+            }
+        )
+    cfgs.append(
+        {
+            "protocol": "rooted",
+            "graph": {"generator": "random_connected", "n": 10, "m": 15, "seed": 7},
+            "robots": {"k": 10},
+            "placement": {"root": 1},
+            "faults": {},
+        }
+    )
+    for l, f, seed in ((1, 0, 1), (2, 1, 2), (3, 2, 3)):
+        n, k = 10, 5
+        ids = list(range(1, k + 1))
+        clusters = default_clusters(n, ids, l)
+        cfgs.append(
+            {
+                "protocol": "arbitrary",
+                "graph": {"generator": "random_connected", "n": n, "m": 14, "seed": seed},
+                "robots": {"k": k},
+                "placement": {"clusters": [{"node": v, "robots": grp} for v, grp in clusters]},
+                "faults": {"random": {"f": f, "seed": seed}},
+            }
+        )
+    for n in (7, 9):
+        cfgs.append(
+            {
+                "protocol": "rooted",
+                "graph": {"generator": "star", "n": n},
+                "robots": {"k": n - 1},
+                "placement": {"root": 2},
+                "faults": {"random": {"f": 2, "seed": n}},
+            }
+        )
+    return cfgs
+
+
+def determinism(audit: MemoryAudit) -> dict:
+    """Criterion 7: every determinism config run twice gives the same trace
+    hash and summary."""
+    from .cli import run_config_dict  # cli imports this module
+
+    failures = []
+    configs = determinism_configs()
+    for i, cfg in enumerate(configs):
+        first, second = run_config_dict(cfg), run_config_dict(cfg)
+        if first.trace_hash != second.trace_hash:
+            failures.append(f"config {i}: trace hashes differ")
+        if json.dumps(first.summary(), sort_keys=True) != json.dumps(second.summary(), sort_keys=True):
+            failures.append(f"config {i}: summaries differ")
+    return {"configs": len(configs), "failures": failures}
+
+
+# name -> (criterion, wall-clock budget in seconds or None)
+_REGISTRY = {
+    "rooted-faultfree": (rooted_faultfree, 60),
+    "rooted-exhaustive": (rooted_exhaustive, 600),
+    "rooted-multicrash": (rooted_multicrash, None),
+    "arbitrary-envelope": (arbitrary_envelope, 300),
+    "phase-isolation": (phase_isolation, None),
+    "arbitrary-faultfree": (arbitrary_faultfree, None),
+    "arbitrary-exhaustive": (arbitrary_exhaustive, None),
+    "k-only-fallback": (k_only_fallback, None),
+    "memory": (memory, None),
+    "determinism": (determinism, None),
+}
+CRITERIA = sorted(_REGISTRY)
+
+
+def check_criterion(name: str, audit: MemoryAudit | None = None) -> tuple[bool, dict]:
+    """Run one registered criterion: (passed, report).  A criterion with a
+    budget fails when it takes longer than that."""
+    criterion, budget = _REGISTRY[name]
+    started = time.monotonic()
+    report = criterion(audit if audit is not None else MemoryAudit())
+    elapsed = time.monotonic() - started
+    if budget is not None and elapsed > budget:
+        report["failures"].append(f"took {elapsed:.0f}s, budget {budget}s")
+    return not report["failures"], report

@@ -1,254 +1,72 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line (visible with pytest -s and in the
-verify CLI).  Criterion 6 audits the memory envelope over every run the
-earlier criteria executed, so this module shares an accumulator.
+Each criterion is defined once, in ``oracle.CRITERIA`` (the same registry the
+``dispersim verify`` suites run).  Each test prints one PASS/FAIL line
+(visible with pytest -s).  Criterion 6 audits the memory envelope over every
+run the other criteria executed, so this module shares one audit.
 """
 
 from __future__ import annotations
 
 import json
-import random
-import time
+
+import pytest
 
 from dispersim import cli, oracle
-from dispersim.arbitrary import ArbitraryDispersion
-from dispersim.engine import CrashSchedule, run
-from dispersim.rooted import RootedDispersion
 
-MEMORY_AUDIT: list[tuple[str, int, int]] = []  # (label, bits, envelope)
+AUDIT = oracle.MemoryAudit()
 
 
-def report(criterion: str, ok: bool, detail: str = ""):
-    print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
-    assert ok, f"{criterion} failed: {detail}"
-
-
-def audit_memory(label: str, result, k: int, delta: int):
-    MEMORY_AUDIT.append((label, result.max_memory_bits, oracle.memory_envelope(k, delta)))
+def check(label: str, name: str) -> dict:
+    passed, report = oracle.check_criterion(name, AUDIT)
+    print(f"ACCEPTANCE {label} ({name}): {'PASS' if passed else 'FAIL'} {report}")
+    assert passed, f"{label} failed: {report['failures'][:3]}"
+    return report
 
 
 def test_criterion_1_rooted_fault_free_correctness_and_bound():
-    started = time.monotonic()
-    failures = []
-    runs = 0
-    for name, g in oracle.standard_corpus():
-        delta = g.max_degree()
-        for k in oracle.k_choices(g.node_count):
-            ids = list(range(1, k + 1))
-            protocol = RootedDispersion(ids, delta)
-            result = run(g, {i: 1 for i in ids}, protocol)
-            runs += 1
-            audit_memory(f"c1 {name} k={k}", result, k, delta)
-            if not result.dispersed:
-                failures.append(f"{name} k={k}: not dispersed")
-            if result.rounds_elapsed > 7 * k * k:
-                failures.append(f"{name} k={k}: {result.rounds_elapsed} > 7k^2")
-            if oracle.one_mover_violations(result.world.trace):
-                failures.append(f"{name} k={k}: one-mover violation")
-            settled = {result.world.locations[r] for r in ids}
-            if settled != oracle.reference_first_k(g, 1, k):
-                failures.append(f"{name} k={k}: settled set differs from reference DFS")
-    elapsed = time.monotonic() - started
-    if elapsed > 60:
-        failures.append(f"took {elapsed:.0f}s, budget 60s")
-    report("criterion-1 rooted fault-free", not failures, f"{runs} runs in {elapsed:.0f}s; {failures[:3]}")
+    check("criterion-1 rooted fault-free", "rooted-faultfree")
 
 
 def test_criterion_2_rooted_exhaustive_single_crash():
-    started = time.monotonic()
-    tested = 0
-    failures = []
-    for name, g in oracle.standard_corpus(max_n=6):
-        delta = g.max_degree()
-        for k in oracle.k_choices(g.node_count):
-            if k > 5:
-                continue
-            ids = list(range(1, k + 1))
-            factory = lambda ids=ids, delta=delta: RootedDispersion(ids, delta)
-            rank = factory().rank
-
-            def check(result, schedule, rank=rank, k=k, delta=delta, name=name):
-                audit_memory(f"c2 {name} k={k}", result, k, delta)
-                problems = []
-                if oracle.one_mover_violations(result.world.trace):
-                    problems.append("one-mover")
-                if oracle.loop_violations(result.world.trace):
-                    problems.append("loop")
-                if oracle.retreat_violations(result.world.trace, rank):
-                    problems.append("retreat-overrun")
-                return problems
-
-            rep = oracle.enumerate_adversary(g, {i: 1 for i in ids}, factory, f=1, per_run_check=check)
-            tested += rep.schedules_tested
-            if rep.failures:
-                failures.append(f"{name} k={k}: {rep.failure_examples[:1]}")
-    elapsed = time.monotonic() - started
-    if elapsed > 600:
-        failures.append(f"took {elapsed:.0f}s, budget 600s")
-    report("criterion-2 rooted exhaustive f=1", not failures, f"{tested} schedules in {elapsed:.0f}s; {failures[:3]}")
+    check("criterion-2 rooted exhaustive f=1", "rooted-exhaustive")
 
 
 def test_criterion_3_rooted_randomized_multi_crash():
-    rng = random.Random(42)
-    corpus = oracle.standard_corpus()
-    failures = []
-    repair_trials = 0
-    for trial in range(200):
-        name, g = corpus[rng.randrange(len(corpus))]
-        k = rng.randint(2, min(g.node_count, 20))
-        ids = list(range(1, k + 1))
-        protocol = RootedDispersion(ids, g.max_degree())
-        f = rng.randint(1, k - 1)
-        victims = rng.sample(ids, f)
-        schedule = CrashSchedule.from_pairs(
-            [(v, rng.randint(1, protocol.round_budget)) for v in victims]
-        )
-        result = run(g, {i: 1 for i in ids}, protocol, schedule)
-        audit_memory(f"c3 trial {trial}", result, k, g.max_degree())
-        if not result.dispersed or result.rounds_elapsed > 7 * k * k:
-            failures.append(f"trial {trial} ({name}, k={k}, f={f})")
-        if any(e.kind == "repair" for e in result.world.trace):
-            repair_trials += 1
-    ok = not failures and repair_trials >= 1
-    report(
-        "criterion-3 rooted multi-crash",
-        ok,
-        f"200 trials, {repair_trials} with repairs; failures: {failures[:3]}",
-    )
+    check("criterion-3 rooted multi-crash", "rooted-multicrash")
 
 
 def test_criterion_4_arbitrary_correctness_and_bound():
-    started = time.monotonic()
-    corpus = [c for c in oracle.standard_corpus() if c[1].node_count >= 4]
-    failures = []
-    runs = 0
-    for l in (1, 2, 3, 4):
-        for f in (0, 1, 2):
-            rng = random.Random(1000 * l + f)
-            done = 0
-            gi = 0
-            while done < 50:
-                name, g = corpus[gi % len(corpus)]
-                gi += 1
-                n = g.node_count
-                k = (n + 1) // 2
-                if k < l or f >= k:
-                    continue
-                done += 1
-                runs += 1
-                ids = list(range(1, k + 1))
-                clusters = cli.default_clusters(n, ids, l)
-                placement = {rid: node for node, grp in clusters for rid in grp}
-                protocol = ArbitraryDispersion(
-                    [grp for _, grp in clusters], g.edge_count, g.max_degree(), faults=f
-                )
-                schedule = CrashSchedule()
-                if f:
-                    victims = rng.sample(ids, f)
-                    schedule = CrashSchedule.from_pairs(
-                        [(v, rng.randint(1, protocol.round_budget)) for v in victims]
-                    )
-                result = run(g, placement, protocol, schedule)
-                audit_memory(f"c4 {name} l={l} f={f}", result, k, g.max_degree())
-                envelope = (l + f + 1) * protocol.phase_len
-                if not result.dispersed or result.rounds_elapsed > envelope:
-                    failures.append(f"{name} k={k} l={l} f={f}")
-                if oracle.cluster_count_regressions(result.world.trace, protocol.phase_len):
-                    failures.append(f"{name} l={l} f={f}: cluster count grew")
-                if oracle.counter_disagreements(result.world.trace):
-                    failures.append(f"{name} l={l} f={f}: counter disagreement")
-    elapsed = time.monotonic() - started
-    if elapsed > 300:
-        failures.append(f"took {elapsed:.0f}s, budget 300s")
-    report("criterion-4 arbitrary correctness", not failures, f"{runs} runs in {elapsed:.0f}s; {failures[:3]}")
+    check("criterion-4 arbitrary correctness", "arbitrary-envelope")
 
 
 def test_criterion_5_isolated_fault_free_phase_disperses_top_cluster():
-    rng = random.Random(11)
-    corpus = [c for c in oracle.standard_corpus() if c[1].node_count >= 4]
-    failures = []
-    count = 0
-    while count < 20:
-        name, g = corpus[rng.randrange(len(corpus))]
-        n = g.node_count
-        k = (n + 1) // 2
-        l = rng.choice((2, 3))
-        if k < l:
-            continue
-        count += 1
-        ids = list(range(1, k + 1))
-        groups = [sorted(ids[i::l]) for i in range(l)]
-        sites = rng.sample(range(1, n + 1), l)
-        placement = {rid: sites[gi] for gi, grp in enumerate(groups) for rid in grp}
-        f = rng.randint(1, min(2, k - 1))
-        protocol = ArbitraryDispersion(groups, g.edge_count, g.max_degree(), faults=f)
-        top_members = set(max(groups, key=max))
-        victims = rng.sample(ids, f)
-        # faults strictly outside phase 0, where the designated cluster is top
-        schedule = CrashSchedule.from_pairs(
-            [(v, rng.randint(protocol.phase_len + 1, protocol.round_budget)) for v in victims]
-        )
-        result = run(g, placement, protocol, schedule, max_rounds=protocol.phase_len)
-        audit_memory(f"c5 {name}", result, k, g.max_degree())
-        unsettled = [r for r in top_members if not result.world.states[r].settled]
-        if unsettled:
-            failures.append(f"{name} k={k} l={l}: top cluster robots {unsettled} unsettled")
-    report("criterion-5 fault-free phase isolation", not failures, f"20 configs; {failures[:3]}")
+    check("criterion-5 fault-free phase isolation", "phase-isolation")
 
 
-def test_criterion_6_memory_envelope_across_all_runs():
-    over = [(label, bits, env) for label, bits, env in MEMORY_AUDIT if bits > env]
-    ok = not over and len(MEMORY_AUDIT) > 10000
-    report(
-        "criterion-6 memory envelope",
-        ok,
-        f"{len(MEMORY_AUDIT)} runs audited, worst {max((b for _, b, _ in MEMORY_AUDIT), default=0)} bits; over: {over[:3]}",
-    )
-
-
-def test_criterion_7_determinism_and_replay(tmp_path):
-    failures = []
-    for i, cfg in enumerate(cli.determinism_configs()):
-        first = cli.run_config_dict(cfg)
-        second = cli.run_config_dict(cfg)
-        if first.trace_hash != second.trace_hash or first.summary() != second.summary():
-            failures.append(f"config {i} not reproducible")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cli.determinism_configs()[1]))
-    out = str(tmp_path / "out")
-    if cli.main(["run", "--config", str(cfg_path), "--out", out]) != 0:
-        failures.append("run exited nonzero")
-    before = (tmp_path / "out" / "summary.json").read_bytes(), (tmp_path / "out" / "trace.jsonl").read_bytes()
-    if cli.main(["replay", "--config", str(cfg_path), "--out", out]) != 0:
-        failures.append("replay mismatch")
-    after = (tmp_path / "out" / "summary.json").read_bytes(), (tmp_path / "out" / "trace.jsonl").read_bytes()
-    if before != after:
-        failures.append("replay altered stored outputs")
-    report("criterion-7 determinism", not failures, f"10 configs + replay; {failures}")
+@pytest.mark.parametrize("name", ["arbitrary-faultfree", "arbitrary-exhaustive"])
+def test_arbitrary_verify_suite(name):
+    check("arbitrary suite", name)
 
 
 def test_criterion_8_unknown_parameters_fallback():
-    rng = random.Random(7)
-    failures = []
-    runs = 0
-    for name, g in oracle.standard_corpus(max_n=12):
-        n = g.node_count
-        k = (n + 1) // 2
-        for l in (1, 2):
-            if k < l:
-                continue
-            runs += 1
-            ids = list(range(1, k + 1))
-            groups = [sorted(ids[i::l]) for i in range(l)]
-            sites = rng.sample(range(1, n + 1), l)
-            placement = {rid: sites[gi] for gi, grp in enumerate(groups) for rid in grp}
-            protocol = ArbitraryDispersion(
-                groups, g.edge_count, g.max_degree(), faults=0,
-                phase_len=k * k, num_phases=k + 1,
-            )
-            result = run(g, placement, protocol)
-            audit_memory(f"c8 {name} l={l}", result, k, g.max_degree())
-            if not result.dispersed or result.rounds_elapsed > (k + 1) * k * k:
-                failures.append(f"{name} k={k} l={l}")
-    report("criterion-8 k-only fallback", not failures, f"{runs} runs; {failures[:3]}")
+    check("criterion-8 k-only fallback", "k-only-fallback")
+
+
+def test_criterion_6_memory_envelope_across_all_runs():
+    ok = not AUDIT.over and AUDIT.runs > 10000
+    detail = f"{AUDIT.runs} runs audited, worst {AUDIT.worst} bits; over: {AUDIT.over[:3]}"
+    print(f"ACCEPTANCE criterion-6 memory envelope: {'PASS' if ok else 'FAIL'} {detail}")
+    assert ok, detail
+
+
+def test_criterion_7_determinism_and_replay(tmp_path):
+    check("criterion-7 determinism", "determinism")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cli.determinism_configs()[1]))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    before = (out / "summary.json").read_bytes(), (out / "trace.jsonl").read_bytes()
+    assert cli.main(["replay", "--config", str(cfg_path), "--out", str(out)]) == 0, "replay mismatch"
+    after = (out / "summary.json").read_bytes(), (out / "trace.jsonl").read_bytes()
+    assert before == after, "replay altered stored outputs"

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dispersim import cli
 
@@ -200,16 +207,118 @@ def test_run_rejects_bad_placement(tmp_path):
     assert cli.main(["run", "--config", write_config(tmp_path, "c2.json", cfg2), "--out", str(tmp_path / "o")]) == 2
 
 
+ARBITRARY_RING6 = {
+    "protocol": "arbitrary",
+    "graph": {"generator": "ring", "n": 6},
+    "robots": {"k": 2},
+    "placement": {"clusters": [{"node": 1, "robots": [1, 2]}]},
+}
+
+
 @pytest.mark.parametrize(
     "change",
     [
         {"faults": {"schedule": [[2, 0]]}},  # crash rounds start at 1
         {"faults": {"random": {"f": -1, "seed": 0}}},
         {"graph": {"generator": "ring", "n": 4}, "robots": {"k": 6}},  # k > n
+        {"placement": {"root": "a"}},
+        {"placement": {"root": 1.5}},
+        {**ARBITRARY_RING6, "placement": {"clusters": [{"node": 1}]}},
+        {**ARBITRARY_RING6, "placement": {"clusters": 5}},
+        {"faults": {"schedule": [[1]]}},
+        {"robots": [1, 2, 3]},
+        {"placement": [1]},
+        {"max_rounds": "x"},
+        {**ARBITRARY_RING6, "knowledge": {"phase_len": 0}},
     ],
-    ids=["crash-round-0", "negative-f", "k-above-n"],
+    ids=[
+        "crash-round-0",
+        "negative-f",
+        "k-above-n",
+        "root-not-a-number",
+        "root-not-an-integer",
+        "cluster-without-robots",
+        "clusters-not-a-list",
+        "schedule-entry-without-round",
+        "robots-a-list",
+        "placement-a-list",
+        "max-rounds-not-a-number",
+        "phase-len-zero",
+    ],
 )
 def test_run_bad_input_is_config_error(tmp_path, capsys, change):
     cfg = write_config(tmp_path, "bad.json", {**ROOTED_RING3, **change})
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_sweep_jobs_outside_cpu_count_is_config_error(tmp_path, capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "sweep_rings.json")
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "results.csv").exists()
+
+
+# Values of the wrong type for any config field.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2),
+)
+SMALL = st.integers(-1, 7)
+
+
+def fields(**strategies):
+    return st.fixed_dictionaries(strategies)
+
+
+def either(*strategies):
+    return st.one_of(*strategies, JUNK)
+
+
+# Graphs stay at n <= 6, so every run of a well-formed config is short.
+GRAPHS = either(
+    st.sampled_from(["ring", "path", "star", "complete"]).flatmap(
+        lambda kind: fields(generator=st.just(kind), n=st.integers(1, 6))
+    ),
+    st.integers(2, 6).flatmap(
+        lambda n: fields(
+            generator=st.just("random_connected"),
+            n=st.just(n),
+            m=st.integers(n - 1, n * (n - 1) // 2),
+            seed=st.integers(0, 9),
+        )
+    ),
+    fields(edges=st.lists(st.lists(st.integers(0, 6), max_size=3), max_size=8)),
+    fields(generator=JUNK, n=JUNK),
+)
+CLUSTER = fields(node=either(SMALL), robots=either(st.lists(SMALL, max_size=4)))
+CONFIGS = fields(
+    protocol=st.sampled_from(["rooted", "arbitrary", "other"]),
+    graph=GRAPHS,
+    robots=either(fields(k=either(SMALL)), fields(ids=either(st.lists(SMALL, max_size=7)))),
+    placement=either(fields(root=either(SMALL)), fields(clusters=either(st.lists(CLUSTER, max_size=3)))),
+    faults=either(
+        fields(schedule=either(st.lists(st.lists(either(SMALL), max_size=3), max_size=3))),
+        fields(random=either(fields(f=either(SMALL), seed=either(SMALL)))),
+        # the exhaustive enumeration stays small: at most one crash, in the first three rounds
+        fields(exhaustive=fields(f=st.integers(0, 1), horizon=st.integers(0, 3))),
+    ),
+    knowledge=either(fields(phase_len=either(st.integers(-1, 12)), num_phases=either(st.integers(-1, 4)))),
+    max_rounds=either(st.integers(-1, 100)),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=CONFIGS)
+def test_run_on_any_config_exits_cleanly(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert rc in (0, 1, 2)

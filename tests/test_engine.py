@@ -187,7 +187,7 @@ def test_memory_bits_documented_encoding():
     # cdr 3 + used 1 + done 1 + clock ceil(log2(25))=5 -> 20 bits
     protocol = RootedDispersion(list(range(1, 9)), 3)
     settled = RobotState(1, True, True, RootedCore(mode="settled", parent=None, cdr=1))
-    assert engine.memory_bits(settled, protocol) == 20
+    assert protocol.memory_bits(settled) == 20
     from dispersim.oracle import memory_envelope
 
     assert memory_envelope(8, 3) == 44
@@ -195,7 +195,7 @@ def test_memory_bits_documented_encoding():
 
     # waiting robots additionally replicate the release bookkeeping
     waiting = RobotState(2, True, False, RootedCore(mode=AT_ROOT))
-    assert engine.memory_bits(waiting, protocol) == 20 + 5 + 4
+    assert protocol.memory_bits(waiting) == 20 + 5 + 4
 
 
 def test_run_is_deterministic():
