@@ -60,7 +60,7 @@ def _int(value, what: str, low: int | None = None) -> int:
 
 
 def _section(spec: dict, key: str) -> dict:
-    value = spec.get(key) or {}
+    value = {} if spec.get(key) is None else spec[key]
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be an object")
     return value
@@ -100,9 +100,9 @@ def robot_ids(cfg: dict) -> list[int]:
     return list(range(1, _int(robots["k"], "robots.k", 1) + 1))
 
 
-def setup_factory(cfg: dict, g: graphs.PortGraph):
+def _setup_factory(cfg: dict, g: graphs.PortGraph, faults=None):
     """Validate a config's robots, placement and protocol parameters:
-    (protocol factory, placement)."""
+    (protocol factory, placement).  ``faults`` is the parsed faults section."""
     ids = robot_ids(cfg)
     if len(ids) > g.node_count:
         raise ConfigError(f"{len(ids)} robots cannot disperse on {g.node_count} nodes")
@@ -136,15 +136,18 @@ def setup_factory(cfg: dict, g: graphs.PortGraph):
         key: None if knowledge.get(key) is None else _int(knowledge[key], f"knowledge.{key}", 1)
         for key in ("phase_len", "num_phases")
     }
-    kind, faults = _faults(cfg, ids)
-    f = 0 if kind is None else len(faults) if kind == "schedule" else faults[0]
+    kind, entry = _faults(cfg, ids) if faults is None else faults
+    f = 0 if kind is None else len(entry) if kind == "schedule" else entry[0]
     return partial(ArbitraryDispersion, clusters, g.edge_count, g.max_degree(), faults=f, **phases), placement
 
 
-def build_setup(cfg: dict, g: graphs.PortGraph):
-    """Resolve (protocol, placement) from a config."""
-    factory, placement = setup_factory(cfg, g)
-    return factory(), placement
+def build_setup(cfg: dict, g: graphs.PortGraph, faults=None):
+    """Resolve (protocol, placement); ``faults`` is the parsed faults section."""
+    factory, placement = _setup_factory(cfg, g, faults)
+    try:
+        return factory(), placement
+    except ValueError as exc:  # e.g. the default phase length of a graph without edges
+        raise ConfigError(f"bad protocol parameters: {exc}") from exc
 
 
 def _faults(cfg: dict, ids: list[int]):
@@ -179,21 +182,21 @@ def _faults(cfg: dict, ids: list[int]):
     return kind, (f, None if horizon is None else _int(horizon, "faults.exhaustive.horizon", 1))
 
 
-def build_schedule(cfg: dict, ids: list[int], budget: int) -> CrashSchedule:
-    kind, faults = _faults(cfg, ids)
+def build_schedule(cfg: dict, ids: list[int], budget: int, faults=None) -> CrashSchedule:
+    kind, entry = _faults(cfg, ids) if faults is None else faults
     if kind == "schedule":
-        return faults
+        return entry
     if kind == "random":
-        f, seed = faults
+        f, seed = entry
         return oracle.random_schedule(Random(seed), ids, f, budget)
     return CrashSchedule()
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated config: graph, protocol factory and its first protocol,
-    placement, crash schedule, round limit, and (f, horizon) when
-    faults.exhaustive asks for every crash schedule instead of one run."""
+    """A validated config: graph, protocol, placement, crash schedule, round
+    limit and, when faults.exhaustive asks for every crash schedule instead
+    of one run, a protocol factory and (f, horizon)."""
 
     graph: graphs.PortGraph
     factory: object
@@ -207,12 +210,12 @@ class Scenario:
     def from_config(cls, cfg: dict, graph: graphs.PortGraph | None = None) -> Scenario:
         """Build and validate; ``graph`` replaces building cfg["graph"]."""
         g = build_graph(cfg.get("graph", {})) if graph is None else graph
-        factory, placement = setup_factory(cfg, g)
-        protocol = factory()
-        schedule = build_schedule(cfg, sorted(placement), protocol.round_budget)
+        faults = _faults(cfg, robot_ids(cfg))
+        protocol, placement = build_setup(cfg, g, faults)
+        schedule = build_schedule(cfg, sorted(placement), protocol.round_budget, faults)
         max_rounds = None if cfg.get("max_rounds") is None else _int(cfg["max_rounds"], "max_rounds", 0)
-        kind, faults = _faults(cfg, sorted(placement))
-        exhaustive = faults if kind == "exhaustive" else None
+        exhaustive = faults[1] if faults[0] == "exhaustive" else None
+        factory = None if exhaustive is None else _setup_factory(cfg, g, faults)[0]
         return cls(g, factory, protocol, placement, schedule, max_rounds, exhaustive)
 
     def run(self, trace_out=None):
@@ -281,9 +284,7 @@ def cmd_replay(args) -> int:
     return 0
 
 
-SWEEP_HEADER = [
-    "n", "m", "max_degree", "k", "f", "l", "protocol", "rounds", "dispersed", "max_memory_bits", "error"
-]
+SWEEP_HEADER = ["n", "m", "max_degree", "k", "f", "l", "protocol", "rounds", "dispersed", "max_memory_bits", "error"]
 
 
 def _sweep_point(task: dict) -> list:

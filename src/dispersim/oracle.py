@@ -388,38 +388,35 @@ def random_schedule(rng: Random, ids, f: int, last: int, first: int = 1) -> Cras
 
 
 class MemoryAudit:
-    """The per-robot memory envelope over every audited run (criterion 6)."""
+    """Criterion 6's tally of audited runs: how many, the most bits any robot
+    used, and the runs over the memory envelope."""
 
     def __init__(self):
         self.runs = 0
         self.worst = 0
         self.over: list[str] = []
 
-    def check(self, label: str, result: SimResult, k: int, delta: int) -> list[str]:
+    def record(self, label: str, bounds: BoundsReport) -> None:
         self.runs += 1
-        bits = result.max_memory_bits
-        self.worst = max(self.worst, bits)
-        env = memory_envelope(k, delta)
-        if bits <= env:
-            return []
-        self.over.append(f"{label}: {bits} > {env}")
-        return [f"memory {bits} exceeds envelope {env}"]
+        self.worst = max(self.worst, bounds.memory)
+        if bounds.memory > bounds.memory_bound:
+            self.over.append(f"{label}: {bounds.memory} > {bounds.memory_bound}")
 
 
-def _bound_problems(result: SimResult, protocol) -> list[str]:
-    problems = [] if result.dispersed else ["not dispersed"]
-    if result.rounds_elapsed > protocol.round_budget:
-        problems.append(f"rounds {result.rounds_elapsed} > budget {protocol.round_budget}")
-    return problems
+def _audited_bounds(audit: MemoryAudit, label: str, result: SimResult, protocol, g) -> list[str]:
+    bounds = check_bounds(result, protocol, protocol.k, g.max_degree())
+    audit.record(label, bounds)
+    return bounds.violations
 
 
-def _problems(audit: MemoryAudit, label: str, result: SimResult, protocol, delta: int, bounded=True) -> list[str]:
-    """The per-run check every criterion shares: the memory envelope, the
-    protocol's trace monitors (rooted runs also the 3i retreat deadline) and,
-    when ``bounded``, dispersal within the protocol's round budget."""
-    problems = audit.check(label, result, protocol.k, delta)
-    if bounded:
-        problems += _bound_problems(result, protocol)
+def _problems(audit: MemoryAudit, label: str, result: SimResult, protocol, g, bounded=True) -> list[str]:
+    """The per-run check every criterion shares: run_monitors (round budget,
+    memory envelope, dispersal, trace monitors) plus, for rooted runs, the 3i
+    retreat deadline.  Without ``bounded`` only the envelope of check_bounds
+    applies, for runs cut short on purpose or whose caller checks the rest."""
+    problems = _audited_bounds(audit, label, result, protocol, g)
+    if not bounded:
+        problems = [v for v in problems if v.startswith("memory")]
     problems += trace_problems(result, protocol)
     if isinstance(protocol, RootedDispersion) and retreat_violations(result.world.trace, protocol.rank):
         problems.append("retreat-overrun")
@@ -428,9 +425,8 @@ def _problems(audit: MemoryAudit, label: str, result: SimResult, protocol, delta
 
 def _exhaustive(audit: MemoryAudit, label: str, g, placement, factory) -> tuple[int, list[str]]:
     """Every single-crash schedule of one instance: (schedules, failures)."""
-    delta = g.max_degree()
-    probe = factory()
-    check = lambda result, schedule: _problems(audit, label, result, probe, delta, bounded=False)
+    probe = factory()  # enumerate_adversary checks dispersal and the round budget itself
+    check = lambda result, schedule: _problems(audit, label, result, probe, g, bounded=False)
     report = enumerate_adversary(g, placement, factory, f=1, per_run_check=check)
     return report.schedules_tested, [f"{label}: {report.failure_examples[:1]}"] if report.failures else []
 
@@ -458,7 +454,7 @@ def rooted_faultfree(audit: MemoryAudit) -> dict:
             protocol = RootedDispersion(ids, g.max_degree())
             result = run(g, {i: 1 for i in ids}, protocol)
             runs += 1
-            problems = _problems(audit, f"rooted {name} k={k}", result, protocol, g.max_degree())
+            problems = _problems(audit, f"rooted {name} k={k}", result, protocol, g)
             if {result.world.locations[r] for r in ids} != reference_first_k(g, 1, k):
                 problems.append("settled set differs from reference DFS")
             if problems:
@@ -499,7 +495,7 @@ def rooted_multicrash(audit: MemoryAudit) -> dict:
         result = run(g, {i: 1 for i in ids}, protocol, schedule)
         # No trace monitors here: in trial 58 (rand14m40s27, k=14) robot 13 loops
         # and overruns its retreat from round 245, though the run disperses in time.
-        problems = audit.check(f"trial {trial}", result, k, g.max_degree()) + _bound_problems(result, protocol)
+        problems = _audited_bounds(audit, f"trial {trial}", result, protocol, g)
         if problems:
             failures.append(f"trial {trial} ({name}, k={k}, f={f}): {problems}")
         if any(e.kind == "repair" for e in result.world.trace):
@@ -532,7 +528,7 @@ def arbitrary_envelope(audit: MemoryAudit) -> dict:
                 protocol = factory()
                 schedule = random_schedule(rng, list(range(1, k + 1)), f, protocol.round_budget)
                 result = run(g, placement, protocol, schedule)
-                problems = _problems(audit, f"{name} l={l} f={f}", result, protocol, g.max_degree())
+                problems = _problems(audit, f"{name} l={l} f={f}", result, protocol, g)
                 if problems:
                     failures.append(f"{name} k={k} l={l} f={f}: {problems}")
     return {"runs": runs, "failures": failures}
@@ -560,7 +556,7 @@ def phase_isolation(audit: MemoryAudit) -> dict:
         protocol = ArbitraryDispersion(groups, g.edge_count, g.max_degree(), faults=f)
         schedule = random_schedule(rng, ids, f, protocol.round_budget, first=protocol.phase_len + 1)
         result = run(g, placement, protocol, schedule, max_rounds=protocol.phase_len)
-        problems = _problems(audit, name, result, protocol, g.max_degree(), bounded=False)
+        problems = _problems(audit, name, result, protocol, g, bounded=False)
         unsettled = [r for r in max(groups, key=max) if not result.world.states[r].settled]
         if unsettled:
             problems.append(f"top cluster robots {unsettled} unsettled")
@@ -589,7 +585,7 @@ def k_only_fallback(audit: MemoryAudit) -> dict:
                 groups, g.edge_count, g.max_degree(), faults=0, phase_len=k * k, num_phases=k + 1
             )
             result = run(g, placement, protocol)
-            problems = _problems(audit, f"{name} l={l}", result, protocol, g.max_degree())
+            problems = _problems(audit, f"{name} l={l}", result, protocol, g)
             if problems:
                 failures.append(f"{name} k={k} l={l}: {problems}")
     return {"runs": runs, "failures": failures}
@@ -608,7 +604,7 @@ def arbitrary_faultfree(audit: MemoryAudit) -> dict:
             protocol = factory()
             result = run(g, placement, protocol)
             runs += 1
-            problems = _problems(audit, f"arbitrary {name} l={l}", result, protocol, g.max_degree())
+            problems = _problems(audit, f"arbitrary {name} l={l}", result, protocol, g)
             if problems:
                 failures.append(f"{name} k={k} l={l}: {problems}")
     return {"runs": runs, "failures": failures}

@@ -230,6 +230,9 @@ ARBITRARY_RING6 = {
         {"placement": [1]},
         {"max_rounds": "x"},
         {**ARBITRARY_RING6, "knowledge": {"phase_len": 0}},
+        {**ARBITRARY_RING6, "graph": {"ports": {"1": []}}, "robots": {"k": 1},
+         "placement": {"clusters": [{"node": 1, "robots": [1]}]}},
+        {"faults": []},
     ],
     ids=[
         "crash-round-0",
@@ -244,6 +247,8 @@ ARBITRARY_RING6 = {
         "placement-a-list",
         "max-rounds-not-a-number",
         "phase-len-zero",
+        "arbitrary-without-edges",
+        "faults-a-list",
     ],
 )
 def test_run_bad_input_is_config_error(tmp_path, capsys, change):
@@ -294,6 +299,11 @@ GRAPHS = either(
         )
     ),
     fields(edges=st.lists(st.lists(st.integers(0, 6), max_size=3), max_size=8)),
+    fields(ports=st.one_of(
+        st.just({"1": []}),
+        st.just({"1": [[2, 1]], "2": [[1, 1]]}),
+        st.dictionaries(st.sampled_from(["1", "2", "3", "x"]), st.lists(either(st.lists(SMALL, max_size=3)), max_size=3)),
+    )),
     fields(generator=JUNK, n=JUNK),
 )
 CLUSTER = fields(node=either(SMALL), robots=either(st.lists(SMALL, max_size=4)))
