@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import multiprocessing
@@ -241,10 +240,19 @@ def apply_seed_override(cfg: dict, seed: int | None) -> dict:
     return cfg
 
 
+def _out_dir(path: str) -> Path:
+    """Create the --out directory, before any run starts."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {path}: {exc}") from exc
+    return out
+
+
 def cmd_run(args) -> int:
     sc = Scenario.from_config(apply_seed_override(load_config(args.config), args.seed))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     if sc.exhaustive is not None:
         check = lambda res, sched: run_monitors(res, sc.protocol, sc.graph)
         report = oracle.enumerate_adversary(
@@ -254,12 +262,26 @@ def cmd_run(args) -> int:
         print(report.to_json())
         return 0 if report.failures == 0 else 1
 
-    with open(out / "trace.jsonl", "w", encoding="utf-8") as fh:
-        result = sc.run(trace_out=fh)
+    # The trace streams to a temporary name and replaces trace.jsonl only once
+    # the run has returned, so a run that raises leaves no partial trace.
+    monitors = oracle.trace_monitors(sc.protocol)
+    partial = out / "trace.jsonl.part"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+
+            def sink(events, lines):
+                fh.writelines(lines)
+                for fold in monitors.values():
+                    fold.feed(events)
+
+            result = sc.run(trace_out=sink)
+        partial.replace(out / "trace.jsonl")
+    finally:
+        partial.unlink(missing_ok=True)
     summary = json.dumps(result.summary(), sort_keys=True)
     (out / "summary.json").write_text(summary + "\n")
     print(summary)
-    problems = run_monitors(result, sc.protocol, sc.graph)
+    problems = run_monitors(result, sc.protocol, sc.graph, monitors)
     for p in problems:
         print(f"FAIL: {p}", file=sys.stderr)
     return 0 if result.dispersed and not problems else 1
@@ -270,16 +292,29 @@ def cmd_replay(args) -> int:
     out = Path(args.out)
     try:
         stored_summary = (out / "summary.json").read_text()
-        stored_trace = (out / "trace.jsonl").read_text()
+        stored_trace = open(out / "trace.jsonl", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read stored outputs: {exc}") from exc
-    fresh_trace = io.StringIO()
-    fresh_summary = json.dumps(sc.run(trace_out=fresh_trace).summary(), sort_keys=True) + "\n"
-    stored = {"summary": stored_summary, "trace": stored_trace}
-    for what, fresh in (("summary", fresh_summary), ("trace", fresh_trace.getvalue())):
-        if stored[what] != fresh:
-            print(f"REPLAY MISMATCH: {what} differs", file=sys.stderr)
-            return 1
+    first_diff = None  # 1-based number of the first trace line that differs
+    with stored_trace:
+        count = 0
+
+        def compare(events, lines):
+            nonlocal count, first_diff
+            for line in lines:
+                count += 1
+                if first_diff is None and stored_trace.readline() != line:
+                    first_diff = count
+
+        fresh_summary = json.dumps(sc.run(trace_out=compare).summary(), sort_keys=True) + "\n"
+        if first_diff is None and stored_trace.readline():
+            first_diff = count + 1
+    if stored_summary != fresh_summary:
+        print("REPLAY MISMATCH: summary differs", file=sys.stderr)
+        return 1
+    if first_diff is not None:
+        print(f"REPLAY MISMATCH: trace differs at line {first_diff}", file=sys.stderr)
+        return 1
     print("replay ok: " + fresh_summary.strip())
     return 0
 
@@ -336,14 +371,13 @@ def cmd_sweep(args) -> int:
             "max_rounds": cfg.get("max_rounds"),
         }
         tasks.append({"config": point, "f": f, "l": l})
+    out = _out_dir(args.out)
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
             rows = pool.map(_sweep_point, tasks)
     else:
         rows = [_sweep_point(t) for t in tasks]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([SWEEP_HEADER, *rows])
     print(f"wrote {len(rows)} rows to {out / 'results.csv'}")

@@ -259,15 +259,17 @@ def event_line(event: TraceEvent) -> str:
     )
 
 
-def trace_hash(trace: list[TraceEvent], out=None) -> str:
-    """SHA-256 of the trace's JSON lines; each line is also written to
-    ``out`` when one is given, so a run's trace file is encoded only once."""
-    h = hashlib.sha256()
+def trace_hash(trace: list[TraceEvent], out: list[str] | None = None, sha=None) -> str:
+    """SHA-256 of the trace's JSON lines.  Each line is also appended to
+    ``out`` when one is given, so a run's trace file is encoded only once;
+    ``sha`` continues a running hash, so a streamed trace hashes chunk by
+    chunk to the digest of the whole."""
+    h = hashlib.sha256() if sha is None else sha
     for event in trace:
         line = event_line(event) + "\n"
         h.update(line.encode())
         if out is not None:
-            out.write(line)
+            out.append(line)
     return h.hexdigest()
 
 
@@ -282,7 +284,12 @@ def run(
 ) -> SimResult:
     """Drive rounds until no unsettled robot remains or the budget expires.
 
-    The trace's JSON lines are written to ``trace_out`` when one is given.
+    Without ``trace_out`` the result keeps the whole trace in
+    ``world.trace``.  With it the trace streams instead: ``trace_out(events,
+    lines)`` receives each chunk of events and their JSON lines as soon as
+    they are hashed (the initial world's events first, then one chunk per
+    round), and ``world.trace`` ends empty, so memory does not grow with the
+    run's length.
 
     The early exit cannot change outcomes: once every alive robot is settled
     the configuration is a fixed point of the protocols.
@@ -290,22 +297,30 @@ def run(
     schedule = schedule or CrashSchedule()
     budget = protocol.round_budget if max_rounds is None else max_rounds
     world = initial if initial is not None else initial_world(graph, placement, protocol)
+    sha = hashlib.sha256()
     max_bits = max((protocol.memory_bits(st) for st in world.states.values() if st.alive), default=0)
-    while world.round < budget:
+    done = False
+    while True:
+        if trace_out is not None:
+            lines: list[str] = []
+            digest = trace_hash(world.trace, lines, sha)
+            trace_out(world.trace, lines)
+            world = replace(world, trace=[])  # an earlier world keeps its events
+        if done or world.round >= budget:
+            break
         world = step(world, graph, protocol, schedule)
         for st in world.states.values():
             if st.alive:
                 bits = protocol.memory_bits(st)
                 if bits > max_bits:
                     max_bits = bits
-        if not any(st.alive and not st.settled for st in world.states.values()):
-            break
+        done = not any(st.alive and not st.settled for st in world.states.values())
     alive = sum(1 for st in world.states.values() if st.alive)
     return SimResult(
         world=world,
         rounds_elapsed=world.round,
         dispersed=is_dispersed(world, graph),
-        trace_hash=trace_hash(world.trace, trace_out),
+        trace_hash=digest if trace_out is not None else trace_hash(world.trace),
         alive_count=alive,
         max_memory_bits=max_bits,
     )

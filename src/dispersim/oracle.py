@@ -113,99 +113,150 @@ def check_bounds(result: SimResult, protocol, k: int, delta: int) -> BoundsRepor
 
 
 # -- trace monitors ---------------------------------------------------------------
+#
+# Each monitor is a fold: ``feed(events)`` takes the trace in order, one chunk
+# of whole rounds at a time, and ``found`` lists the violations seen so far.
+# Its state is per robot or per phase, never per event, so a streamed run is
+# checked in memory that does not grow with its length.  The list functions
+# feed a whole kept trace as one chunk.
+
+ACTION_KINDS = ("move", "wait", "settle")
 
 
-def one_mover_violations(trace: list[TraceEvent]) -> list[int]:
+class OneMoverFold:
     """Rounds of a rooted trace with more than one robot off base."""
-    movers: dict[int, set[int]] = {}
-    for e in trace:
-        if e.kind in ("move", "wait", "settle") and e.payload and e.payload.get("mode") in MOVER_MODES:
-            movers.setdefault(e.round, set()).add(e.robot)
-    return sorted(rnd for rnd, who in movers.items() if len(who) > 1)
+
+    def __init__(self):
+        self.found: list[int] = []
+
+    def feed(self, events):
+        movers: dict[int, set[int]] = {}
+        for e in events:
+            if e.kind in ACTION_KINDS and e.payload and e.payload.get("mode") in MOVER_MODES:
+                movers.setdefault(e.round, set()).add(e.robot)
+        self.found += sorted(rnd for rnd, who in movers.items() if len(who) > 1)
+        return self
 
 
-def loop_violations(trace: list[TraceEvent]) -> list[tuple[int, int]]:
+class LoopFold:
     """(robot, round) pairs where an explorer revisits an identical
     (node, entry port, mode, settled-pointer snapshot) configuration within
     one epoch -- the loop-freedom check."""
-    seen: dict[int, set] = {}
-    out = []
-    for e in trace:
-        if e.kind != "move" or not e.payload:
-            continue
-        p = e.payload
-        if p.get("rsr") == 1:
-            seen[e.robot] = set()
-        if p.get("mode") not in MOVER_MODES or "at" not in p:
-            continue
-        snap = p["at"]
-        key = (
-            p["node"],
-            p["entry"],
-            p["mode"],
-            snap["parent"],
-            snap["cdr"],
-            snap["used"],
-            snap["done"],
-        )
-        bucket = seen.setdefault(e.robot, set())
-        if key in bucket:
-            out.append((e.robot, e.round))
-        bucket.add(key)
-    return out
+
+    def __init__(self):
+        self.seen: dict[int, set] = {}
+        self.found: list[tuple[int, int]] = []
+
+    def feed(self, events):
+        for e in events:
+            if e.kind != "move" or not e.payload:
+                continue
+            p = e.payload
+            if p.get("rsr") == 1:
+                self.seen[e.robot] = set()
+            if p.get("mode") not in MOVER_MODES or "at" not in p:
+                continue
+            snap = p["at"]
+            key = (
+                p["node"],
+                p["entry"],
+                p["mode"],
+                snap["parent"],
+                snap["cdr"],
+                snap["used"],
+                snap["done"],
+            )
+            bucket = self.seen.setdefault(e.robot, set())
+            if key in bucket:
+                self.found.append((e.robot, e.round))
+            bucket.add(key)
+        return self
 
 
-def retreat_violations(trace: list[TraceEvent], rank: dict[int, int]) -> list[tuple[int, int]]:
-    """Retreating robots must be home (or settled) within 3i rounds of release."""
-    return sorted(
-        (e.robot, e.round)
-        for e in trace
-        if e.kind == "move"
-        and e.payload
-        and e.payload.get("mode") == "retreat"
-        and e.payload.get("rsr", 0) > 3 * rank[e.robot]
-    )
+class RetreatFold:
+    """(robot, round) of retreat moves later than 3i rounds after robot i's
+    release; retreating robots must be home (or settled) by then."""
+
+    def __init__(self, rank: dict[int, int]):
+        self.rank = rank
+        self.found: list[tuple[int, int]] = []
+
+    def feed(self, events):
+        self.found += [
+            (e.robot, e.round)
+            for e in events
+            if e.kind == "move"
+            and e.payload
+            and e.payload.get("mode") == "retreat"
+            and e.payload.get("rsr", 0) > 3 * self.rank[e.robot]
+        ]
+        return self
 
 
-def counter_disagreements(trace: list[TraceEvent]) -> list[int]:
+class CounterFold:
     """Rounds of an arbitrary trace where alive robots report unequal counters."""
-    per_round: dict[int, set[int]] = {}
-    for e in trace:
-        if e.kind in ("move", "wait", "settle") and e.payload and "counter" in e.payload:
-            per_round.setdefault(e.round, set()).add(e.payload["counter"])
-    return sorted(rnd for rnd, vals in per_round.items() if len(vals) > 1)
+
+    def __init__(self):
+        self.found: list[int] = []
+
+    def feed(self, events):
+        per_round: dict[int, set[int]] = {}
+        for e in events:
+            if e.kind in ACTION_KINDS and e.payload and "counter" in e.payload:
+                per_round.setdefault(e.round, set()).add(e.payload["counter"])
+        self.found += sorted(rnd for rnd, vals in per_round.items() if len(vals) > 1)
+        return self
 
 
-def cluster_count_regressions(trace: list[TraceEvent], phase_len: int) -> list[int]:
+class ClusterCountFold:
     """Phase indices whose opening cluster count exceeds the previous phase's.
 
     The cluster count at a phase start is the number of distinct cluster ids
-    among robots that are alive and unsettled in that round."""
-    settled_at: dict[int, int] = {}
-    crashed_at: dict[int, int] = {}
-    for e in trace:
-        if e.kind == "settle":
-            settled_at.setdefault(e.robot, e.round)
-        elif e.kind == "crash":
-            crashed_at.setdefault(e.robot, e.round)
-    counts: dict[int, set] = {}
-    for e in trace:
-        if e.kind not in ("move", "wait", "settle") or not e.payload or "cid" not in e.payload:
-            continue
-        if (e.round - 1) % phase_len != 0:
-            continue
-        if settled_at.get(e.robot, e.round + 1) <= e.round and e.kind != "settle":
-            continue  # already settled before this round
-        phase = (e.round - 1) // phase_len
-        counts.setdefault(phase, set()).add(e.payload["cid"])
-    out = []
-    prev = None
-    for phase in sorted(counts):
-        size = len(counts[phase])
-        if prev is not None and size > prev:
-            out.append(phase)
-        prev = size
-    return out
+    among robots that are alive and unsettled in that round.  A robot emits
+    one action event per round, so one that has emitted ``settle`` in an
+    earlier chunk or earlier in this one settled before the round at hand."""
+
+    def __init__(self, phase_len: int):
+        self.phase_len = phase_len
+        self.settled: set[int] = set()
+        self.counts: dict[int, set] = {}  # phase -> cluster ids at its start
+
+    def feed(self, events):
+        for e in events:
+            if e.kind not in ACTION_KINDS:
+                continue
+            if e.kind == "settle":
+                self.settled.add(e.robot)
+            elif e.robot in self.settled:
+                continue
+            if e.payload and "cid" in e.payload and (e.round - 1) % self.phase_len == 0:
+                self.counts.setdefault((e.round - 1) // self.phase_len, set()).add(e.payload["cid"])
+        return self
+
+    @property
+    def found(self) -> list[int]:
+        sizes = [(phase, len(self.counts[phase])) for phase in sorted(self.counts)]
+        return [phase for (_, before), (phase, size) in zip(sizes, sizes[1:]) if size > before]
+
+
+def one_mover_violations(trace: list[TraceEvent]) -> list[int]:
+    return OneMoverFold().feed(trace).found
+
+
+def loop_violations(trace: list[TraceEvent]) -> list[tuple[int, int]]:
+    return LoopFold().feed(trace).found
+
+
+def retreat_violations(trace: list[TraceEvent], rank: dict[int, int]) -> list[tuple[int, int]]:
+    return sorted(RetreatFold(rank).feed(trace).found)
+
+
+def counter_disagreements(trace: list[TraceEvent]) -> list[int]:
+    return CounterFold().feed(trace).found
+
+
+def cluster_count_regressions(trace: list[TraceEvent], phase_len: int) -> list[int]:
+    return ClusterCountFold(phase_len).feed(trace).found
 
 
 def cdr_progression_violations(trace: list[TraceEvent]) -> list[tuple[int, int]]:
@@ -230,27 +281,28 @@ def cdr_progression_violations(trace: list[TraceEvent]) -> list[tuple[int, int]]
     return out
 
 
-def run_monitors(result: SimResult, protocol, g: graphs.PortGraph) -> list[str]:
-    """Everything a single run must satisfy: bounds, dispersal and monitors."""
-    bounds = check_bounds(result, protocol, protocol.k, g.max_degree())
-    return bounds.violations + trace_problems(result, protocol)
-
-
-def trace_problems(result: SimResult, protocol) -> list[str]:
-    """The trace monitors that apply to the run's protocol."""
-    trace = result.world.trace
-    problems = []
+def trace_monitors(protocol) -> dict[str, object]:
+    """Fresh folds of the trace monitors that apply to the protocol, keyed by
+    the problem each reports."""
     if isinstance(protocol, RootedDispersion):
-        if one_mover_violations(trace):
-            problems.append("one-mover violation")
-        if loop_violations(trace):
-            problems.append("loop detected")
-    else:
-        if counter_disagreements(trace):
-            problems.append("counter disagreement")
-        if cluster_count_regressions(trace, protocol.phase_len):
-            problems.append("cluster count increased")
-    return problems
+        return {"one-mover violation": OneMoverFold(), "loop detected": LoopFold()}
+    return {"counter disagreement": CounterFold(), "cluster count increased": ClusterCountFold(protocol.phase_len)}
+
+
+def run_monitors(result: SimResult, protocol, g: graphs.PortGraph, monitors=None) -> list[str]:
+    """Everything a single run must satisfy: bounds, dispersal and monitors
+    (``monitors`` as in ``trace_problems``)."""
+    bounds = check_bounds(result, protocol, protocol.k, g.max_degree())
+    return bounds.violations + trace_problems(result, protocol, monitors)
+
+
+def trace_problems(result: SimResult, protocol, monitors=None) -> list[str]:
+    """The trace monitors that apply to the run's protocol.  ``monitors`` are
+    the ``trace_monitors`` folds already fed a streamed run's trace; without
+    them the result's kept trace is fed to fresh ones."""
+    if monitors is None:
+        monitors = {problem: fold.feed(result.world.trace) for problem, fold in trace_monitors(protocol).items()}
+    return [problem for problem, fold in monitors.items() if fold.found]
 
 
 # -- exhaustive adversary -----------------------------------------------------------

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dispersim import cli
+from dispersim import cli, engine, oracle
+
+SAMPLE_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name, cfg):
@@ -81,6 +83,91 @@ def test_replay_detects_tampering(tmp_path):
     summary_path = tmp_path / "out" / "summary.json"
     summary_path.write_text(summary_path.read_text().replace("true", "false"))
     assert cli.main(["replay", "--config", cfg, "--out", out]) == 1
+
+
+@pytest.mark.parametrize(
+    "tamper, line",
+    [
+        (lambda lines: lines[:4] + ['{"changed":1}\n'] + lines[5:], 5),
+        (lambda lines: lines[:4], 5),  # a stored trace shorter than the fresh one
+        (lambda lines: lines + ['{"extra":1}\n'], None),  # longer: the first extra line
+    ],
+    ids=["changed", "truncated", "extended"],
+)
+def test_replay_reports_the_first_differing_trace_line(tmp_path, capsys, tamper, line):
+    cfg = write_config(tmp_path, "cfg.json", ROOTED_RING3)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "trace.jsonl").read_text().splitlines(keepends=True)
+    (out / "trace.jsonl").write_text("".join(tamper(lines)))
+    capsys.readouterr()
+    assert cli.main(["replay", "--config", cfg, "--out", str(out)]) == 1
+    expected = len(lines) + 1 if line is None else line
+    assert capsys.readouterr().err == f"REPLAY MISMATCH: trace differs at line {expected}\n"
+
+
+def test_run_that_raises_midway_leaves_the_previous_outputs(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, "cfg.json", ROOTED_RING3)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_step = engine.step
+
+    def step_failing_at_round_3(world, *args):
+        if world.round == 2:
+            raise engine.EngineError("injected failure")
+        return real_step(world, *args)
+
+    monkeypatch.setattr(engine, "step", step_failing_at_round_3)
+    with pytest.raises(engine.EngineError):
+        cli.main(["run", "--config", cfg, "--out", str(out)])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+STREAMED_CONFIGS = oracle.determinism_configs() + [
+    json.loads(p.read_text()) for p in sorted(SAMPLE_CONFIGS.glob("*.json")) if "sweep" not in p.name
+]
+
+
+@pytest.mark.parametrize("index", range(len(STREAMED_CONFIGS)))
+def test_streamed_run_hashes_and_writes_the_kept_trace(index):
+    cfg = STREAMED_CONFIGS[index]
+    kept = cli.Scenario.from_config(cfg).run()
+    chunks, lines = [], []
+
+    def sink(events, out):
+        chunks.append(events)
+        lines.extend(out)
+
+    streamed = cli.Scenario.from_config(cfg).run(trace_out=sink)
+    assert streamed.world.trace == []
+    assert streamed.summary() == kept.summary()
+    assert streamed.trace_hash == engine.trace_hash(kept.world.trace)
+    assert lines == [engine.event_line(e) + "\n" for e in kept.world.trace]
+    assert [e for chunk in chunks for e in chunk] == kept.world.trace
+
+
+def test_run_memory_does_not_grow_with_the_trace(tmp_path, capsys):
+    import tracemalloc
+
+    # cut at 300 of its 1,332 rounds: tracemalloc makes the whole run take 12 s
+    cfg = {**ROOTED_RING3, "graph": {"generator": "ring", "n": 30}, "robots": {"k": 30},
+           "faults": {"schedule": [[3, 20]]}, "max_rounds": 300}
+    path = write_config(tmp_path, "k30.json", cfg)
+
+    def peak_bytes(work):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        work()
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        kept = peak_bytes(lambda: cli.run_config_dict(cfg))
+        streamed = peak_bytes(lambda: cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]))
+    finally:
+        tracemalloc.stop()
+    assert streamed < kept / 4
 
 
 def test_arbitrary_run_with_knowledge_override(tmp_path):
@@ -233,6 +320,8 @@ ARBITRARY_RING6 = {
         {**ARBITRARY_RING6, "graph": {"ports": {"1": []}}, "robots": {"k": 1},
          "placement": {"clusters": [{"node": 1, "robots": [1]}]}},
         {"faults": []},
+        {"--out": "afile"},  # --out names an existing file
+        {"--out": "afile/sub"},
     ],
     ids=[
         "crash-round-0",
@@ -249,11 +338,28 @@ ARBITRARY_RING6 = {
         "phase-len-zero",
         "arbitrary-without-edges",
         "faults-a-list",
+        "out-a-file",
+        "out-under-a-file",
     ],
 )
 def test_run_bad_input_is_config_error(tmp_path, capsys, change):
+    (tmp_path / "afile").write_text("")
+    change = dict(change)
+    out = tmp_path / change.pop("--out", "o")
     cfg = write_config(tmp_path, "bad.json", {**ROOTED_RING3, **change})
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])
+def test_sweep_bad_out_is_config_error_before_any_run(tmp_path, capsys, monkeypatch, out):
+    def no_run(task):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_run)
+    (tmp_path / "afile").write_text("")
+    cfg = str(SAMPLE_CONFIGS / "sweep_rings.json")
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
@@ -263,7 +369,7 @@ def test_sweep_jobs_outside_cpu_count_is_config_error(tmp_path, capsys, monkeypa
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
-    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "sweep_rings.json")
+    cfg = str(SAMPLE_CONFIGS / "sweep_rings.json")
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", str(jobs)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "results.csv").exists()

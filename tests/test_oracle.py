@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from dispersim import graph as graphs, oracle
+from dispersim.arbitrary import ArbitraryDispersion
 from dispersim.engine import CrashSchedule, TraceEvent, run
 from dispersim.rooted import RootedDispersion
 
@@ -129,6 +130,75 @@ def test_cluster_count_monitor_detects_synthetic_increase():
     mk = lambda rnd, rid, cid: TraceEvent(rnd, rid, "wait", {"cid": cid, "counter": 0})
     trace = [mk(1, 1, 10), mk(1, 2, 10), mk(L + 1, 1, 10), mk(L + 1, 2, 22)]
     assert oracle.cluster_count_regressions(trace, L) == [1]
+
+
+# -- monitors as folds --------------------------------------------------------------------
+
+
+def _rooted_fold_cases():
+    cases = {}
+    for name, g in oracle.standard_corpus(max_n=8):
+        ids = list(range(1, g.node_count + 1))
+        factory = lambda ids=ids, g=g: RootedDispersion(ids, g.max_degree())
+        crashes = CrashSchedule.from_pairs([(ids[-1], 2), (ids[len(ids) // 2], 9)][: len(ids) - 1])
+        cases[f"rooted-{name}-faultfree"] = (g, {i: 1 for i in ids}, factory, CrashSchedule())
+        cases[f"rooted-{name}-crashes"] = (g, {i: 1 for i in ids}, factory, crashes)
+    # criterion 3's trial 58: robot 13 loops, and two robots are off base at once
+    g = graphs.random_connected(14, 40, 27)
+    ids = list(range(1, 15))
+    crashes = [(2, 482), (4, 1269), (5, 687), (6, 582), (8, 1056), (9, 192), (10, 1350), (11, 174), (13, 1360),
+               (14, 1297)]
+    factory = lambda: RootedDispersion(ids, g.max_degree())
+    cases["rooted-trial58"] = (g, {i: 1 for i in ids}, factory, CrashSchedule.from_pairs(crashes))
+    return cases
+
+
+def _arbitrary_fold_cases():
+    g = graphs.random_connected(20, 40, 495)
+    ids = list(range(1, 11))
+    factory = lambda: ArbitraryDispersion([ids], g.edge_count, g.max_degree(), faults=1)
+    cases = {"arbitrary-n20s495": (g, {i: 1 for i in ids}, factory, CrashSchedule.from_pairs([(2, 8)]))}
+    g17 = dict(oracle.standard_corpus())["rand17m29s13"]
+    for l in (1, 2):
+        factory, placement = oracle._default_clustered(g17, 9, l, 1)
+        cases[f"arbitrary-rand17m29s13-l{l}"] = (g17, placement, factory, CrashSchedule.from_pairs([(1, 2)]))
+    return cases
+
+
+FOLD_CASES = {**_rooted_fold_cases(), **_arbitrary_fold_cases()}
+
+
+@pytest.mark.parametrize("label", sorted(FOLD_CASES))
+def test_folds_fed_chunk_by_chunk_match_the_list_monitors(label):
+    g, placement, factory, schedule = FOLD_CASES[label]
+    kept = run(g, placement, factory(), schedule)
+    trace = kept.world.trace
+    protocol = factory()
+    if isinstance(protocol, RootedDispersion):
+        folds = [oracle.OneMoverFold(), oracle.LoopFold(), oracle.RetreatFold(protocol.rank)]
+        expected = [
+            oracle.one_mover_violations(trace),
+            oracle.loop_violations(trace),
+            oracle.retreat_violations(trace, protocol.rank),
+        ]
+    else:
+        folds = [oracle.CounterFold(), oracle.ClusterCountFold(protocol.phase_len)]
+        expected = [oracle.counter_disagreements(trace), oracle.cluster_count_regressions(trace, protocol.phase_len)]
+
+    def feed(events, lines):
+        for fold in folds:
+            fold.feed(events)
+
+    # the first half of the rounds arrives as one chunk: the initial world's trace
+    head = run(g, placement, protocol, schedule, max_rounds=kept.rounds_elapsed // 2)
+    streamed = run(g, placement, protocol, schedule, initial=head.world, trace_out=feed)
+    assert streamed.trace_hash == kept.trace_hash
+    found = [fold.found for fold in folds]
+    if isinstance(folds[-1], oracle.RetreatFold):
+        found[-1] = sorted(found[-1])
+    assert found == expected
+    if label == "rooted-trial58":
+        assert expected[0] and expected[1]
 
 
 # -- exhaustive adversary ----------------------------------------------------------------
