@@ -10,11 +10,15 @@ exploring and merge the rest into a single waiting unit.  At a phase
 boundary every pointer resets, which confines crash damage to its phase.
 At a node of degree >= k the cluster switches to a port-by-port neighborhood
 sweep that settles everyone within 2*degree+1 rounds.
+
+Per robot-step cost: a settled robot only ticks its counter, and the facts
+of a node (its settled robot, its unsettled ids, each priority's leader) are
+computed once per node per round, not once per robot there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil, log2
 
 from .engine import MOVE, SETTLE, STAY, Decision, LocalView, RobotState, Write
@@ -35,6 +39,22 @@ class ArbitraryCore:
     forward: bool = False  # last hop was this cluster's first traversal of that edge
     sweep_port: int = 0  # 0 = no sweep in progress
     sweep_out: bool = False  # True: at the hub, next move goes out through sweep_port
+
+
+_new_core = object.__new__
+
+
+def _evolve(core: ArbitraryCore, **changes) -> ArbitraryCore:
+    """``dataclasses.replace(core, **changes)`` without the generated
+    ``__init__``: a copy of the frozen core's field dict with the changes
+    applied, several times cheaper.  Valid while ArbitraryCore has no slots,
+    no __post_init__ and no init=False fields; engine write arbitration
+    still uses ``replace``."""
+    new = _new_core(ArbitraryCore)
+    fields = new.__dict__
+    fields.update(core.__dict__)
+    fields.update(changes)
+    return new
 
 
 class ArbitraryDispersion:
@@ -69,69 +89,97 @@ class ArbitraryDispersion:
             raise ValueError("phase parameters must be positive")
         self.round_budget = self.num_phases * self.phase_len
         self._home_cid = {rid: max(group) for group in clusters for rid in group}
-
-    def init_core(self, rid: int) -> ArbitraryCore:
-        cid = self._home_cid[rid]
-        return ArbitraryCore(cid=cid, priority=cid, counter=self.phase_len)
-
-    def memory_bits(self, state: RobotState) -> int:
         a = ceil(log2(self.k + 1))
         b = ceil(log2(self.max_degree + 2))
         counter_bits = ceil(log2(self.phase_len + 1))
         phase_bits = ceil(log2(self.num_phases + 2))
         # id, settled, cid, priority, parent, cdr, used, done, counter,
         # waiting, phase, forward, sweep port, sweep direction
-        return a + 1 + a + a + b + b + 1 + 1 + counter_bits + 1 + phase_bits + 1 + b + 1
+        self._memory_bits = a + 1 + a + a + b + b + 1 + 1 + counter_bits + 1 + phase_bits + 1 + b + 1
+        # id(co-located tuple) -> (that tuple, its node facts); holding the
+        # tuple keeps its id from being reused while it is cached.  Robots of
+        # one node are not consecutive in the engine's id order, so one entry
+        # would rarely hit; at most k nodes hold robots in a round.
+        self._facts: dict[int, tuple] = {}
+
+    def init_core(self, rid: int) -> ArbitraryCore:
+        cid = self._home_cid[rid]
+        return ArbitraryCore(cid=cid, priority=cid, counter=self.phase_len)
+
+    def memory_bits(self, state: RobotState) -> int:
+        """Every field has a fixed width, so every state costs the same."""
+        return self._memory_bits
 
     # -- transition ----------------------------------------------------------
     def transition(self, state: RobotState, view: LocalView) -> Decision:
         core: ArbitraryCore = state.core
         reset_round = core.counter == 0
-        events: list[tuple[str, dict]] = []
-
-        unsettled = [s for s in view.co_located if not s.settled]
-        if reset_round:
-            events.append(("reset", {"phase": core.phase_index + 1, "counter": self.phase_len}))
-            if state.settled:
-                core = ArbitraryCore(counter=self.phase_len, phase_index=core.phase_index + 1)
-            else:
-                fresh_cid = max(s.id for s in unsettled)
-                core = ArbitraryCore(
-                    cid=fresh_cid,
-                    priority=fresh_cid,
-                    counter=self.phase_len,
-                    phase_index=core.phase_index + 1,
-                )
-
         if state.settled:
-            return self._finish(core, STAY, events=events)
+            if reset_round:
+                events = [("reset", {"phase": core.phase_index + 1, "counter": self.phase_len})]
+                core = ArbitraryCore(counter=self.phase_len, phase_index=core.phase_index + 1)
+                return self._finish(core, STAY, events=events)
+            return self._finish(core, STAY)
 
+        events: list[tuple[str, dict]] = []
+        settled_here, lowest, highest, leaders, top, runner_up = self._node_facts(view.co_located)
         if reset_round:
             # everyone here just re-clustered together; no foreigners possible
-            cluster = sorted(s.id for s in unsettled)
+            events.append(("reset", {"phase": core.phase_index + 1, "counter": self.phase_len}))
+            core = ArbitraryCore(
+                cid=highest,
+                priority=highest,
+                counter=self.phase_len,
+                phase_index=core.phase_index + 1,
+            )
+            leader = lowest
         else:
             # Co-located foreign clusters: the strongest keeps exploring, the
             # rest merge into one waiting unit (strongest among themselves).
             my_pri = core.priority or 0
-            peer_pris = {s.core.priority or 0 for s in unsettled}
-            if len(peer_pris) > 1:
-                top = max(peer_pris)
-                if my_pri != top:
-                    merged = max(p for p in peer_pris if p != top)
-                    core = replace(core, cid=merged, priority=merged, waiting=True, sweep_port=0, forward=False)
-                    events.append(("merge", {"cid": merged}))
-                    return self._finish(core, STAY, events=events)
-            cluster = sorted(s.id for s in unsettled if (s.core.priority or 0) == my_pri)
+            if my_pri != top:
+                events.append(("merge", {"cid": runner_up}))
+                return self._finish(
+                    core, STAY, events=events,
+                    cid=runner_up, priority=runner_up, waiting=True, sweep_port=0, forward=False,
+                )
+            leader = leaders[my_pri]
 
         if core.waiting:
             return self._finish(core, STAY, events=events)
 
-        settled_here = next((s for s in view.co_located if s.settled), None)
         eff = self._eff_settled(settled_here, reset_round)
 
         if core.sweep_port > 0:
-            return self._sweep_round(state, view, core, eff, cluster, events)
-        return self._explore_round(state, view, core, eff, cluster, events, reset_round)
+            return self._sweep_round(state, view, core, eff, leader, events)
+        return self._explore_round(state, view, core, eff, leader, events, reset_round)
+
+    def _node_facts(self, co_located: tuple[RobotState, ...]):
+        """(first settled robot, lowest and highest unsettled id, each
+        unsettled priority's lowest id, the top priority, the highest one
+        below it) of one node; a pure function of the tuple, which every
+        robot at that node shares within a round."""
+        hit = self._facts.get(id(co_located))
+        if hit is not None and hit[0] is co_located:
+            return hit[1]
+        settled = None
+        leaders: dict[int, int] = {}
+        for s in co_located:
+            if s.settled:
+                if settled is None:
+                    settled = s
+                continue
+            pri = s.core.priority or 0
+            if pri not in leaders or s.id < leaders[pri]:
+                leaders[pri] = s.id
+        ids = [s.id for s in co_located if not s.settled]
+        top = max(leaders, default=None)
+        runner_up = max((p for p in leaders if p != top), default=None)
+        facts = (settled, min(ids, default=None), max(ids, default=None), leaders, top, runner_up)
+        if len(self._facts) >= self.k:
+            self._facts.clear()
+        self._facts[id(co_located)] = (co_located, facts)
+        return facts
 
     @staticmethod
     def _eff_settled(settled_here, reset_round):
@@ -143,8 +191,12 @@ class ArbitraryDispersion:
             return settled_here.id, None, None, None, None, False, False
         return settled_here.id, c.cid, c.priority, c.parent, c.cdr, c.cdr_used, c.subtree_done
 
-    def _finish(self, core: ArbitraryCore, action: str, port: int = 0, writes=(), events=(), extra_note=None) -> Decision:
-        new = replace(core, counter=core.counter - 1)
+    def _finish(
+        self, core: ArbitraryCore, action: str, port: int = 0, writes=(), events=(), extra_note=None, **changes
+    ) -> Decision:
+        """The decision, with ``changes`` and this round's counter tick
+        applied to ``core`` in one construction."""
+        new = _evolve(core, counter=core.counter - 1, **changes)
         note = {
             "cid": new.cid,
             "pri": new.priority,
@@ -154,42 +206,27 @@ class ArbitraryDispersion:
         }
         if extra_note:
             note.update(extra_note)
-        return Decision(
-            new,
-            action,
-            port=port,
-            writes=tuple(writes),
-            events=tuple(events),
-            note=note,
-            writer_priority=new.priority or 0,
-        )
+        return Decision(new, action, port, tuple(writes), tuple(events), note, new.priority or 0)
 
     # -- exploration -------------------------------------------------------------
-    def _explore_round(self, state, view, core, eff, cluster, events, reset_round) -> Decision:
+    def _explore_round(self, state, view, core, eff, leader, events, reset_round) -> Decision:
         my_pri = core.priority or 0
 
         if eff is None:
             # empty node: lowest id settles, the rest leave through its pointer
             parent = None if view.entry_port == 0 else view.entry_port
             cdr = _first_port(parent, view.degree)
-            if state.id == cluster[0]:
-                new = replace(
-                    core,
-                    parent=parent,
-                    cdr=cdr,
-                    cdr_used=False,
-                    subtree_done=False,
-                    waiting=False,
-                    forward=False,
+            if state.id == leader:
+                return self._finish(
+                    core, SETTLE, events=events, extra_note={"parent": parent, "cdr": cdr},
+                    parent=parent, cdr=cdr, cdr_used=False, subtree_done=False, waiting=False, forward=False,
                     sweep_port=0,
                 )
-                return self._finish(new, SETTLE, events=events, extra_note={"parent": parent, "cdr": cdr})
             if view.degree >= self.k:
-                new = replace(core, sweep_port=1, sweep_out=False, forward=False)
-                return self._finish(new, MOVE, port=1, events=events, extra_note={"sweep": 1})
-            new = replace(core, forward=True)
-            writes = [Write(cluster[0], "cdr_used", True)]
-            return self._finish(new, MOVE, port=cdr, writes=writes, events=events)
+                return self._finish(
+                    core, MOVE, 1, events=events, extra_note={"sweep": 1}, sweep_port=1, sweep_out=False, forward=False
+                )
+            return self._finish(core, MOVE, cdr, (Write(leader, "cdr_used", True),), events, forward=True)
 
         sid, s_cid, s_pri, s_parent, s_cdr, s_used, s_done = eff
 
@@ -200,18 +237,16 @@ class ArbitraryDispersion:
             writes = [Write(sid, f, v) for f, v in sorted(out.writes.items())]
             if out.repaired:
                 events.append(("repair", {"target": sid, **out.writes}))
-                new = replace(core, forward=False)
-                return self._finish(new, STAY, writes=writes, events=events)
+                return self._finish(core, STAY, writes=writes, events=events, forward=False)
             if out.stuck:
-                new = replace(core, waiting=True, forward=False)
-                return self._finish(new, STAY, writes=writes, events=events)
+                return self._finish(core, STAY, writes=writes, events=events, waiting=True, forward=False)
             note = {"bounce": True} if out.bounced else None
-            new = replace(core, forward=out.leaves_forward)
-            return self._finish(new, MOVE, port=out.exit_port, writes=writes, events=events, extra_note=note)
+            return self._finish(
+                core, MOVE, out.exit_port, writes, events, note, forward=out.leaves_forward
+            )
 
         if s_pri is not None and s_pri > my_pri:
-            new = replace(core, waiting=True, forward=False, sweep_port=0)
-            return self._finish(new, STAY, events=events)
+            return self._finish(core, STAY, events=events, waiting=True, forward=False, sweep_port=0)
 
         # lower-priority or reset robot: adopt it into this cluster's tree.
         # One reset this round becomes the root of the phase's new DFS: no
@@ -222,52 +257,47 @@ class ArbitraryDispersion:
         parent = None if view.entry_port == 0 or reset_round else view.entry_port
         cdr = _first_port(view.entry_port, view.degree)
         sweeping = view.degree >= self.k
-        writes = [
+        writes = (
             Write(sid, "cid", core.cid),
             Write(sid, "priority", core.priority),
             Write(sid, "parent", parent),
             Write(sid, "cdr", cdr),
             Write(sid, "cdr_used", not sweeping),
             Write(sid, "subtree_done", False),
-        ]
+        )
         if sweeping:
-            new = replace(core, sweep_port=1, sweep_out=False, forward=False)
-            return self._finish(new, MOVE, port=1, writes=writes, events=events, extra_note={"sweep": 1})
-        new = replace(core, forward=True)
-        return self._finish(new, MOVE, port=cdr, writes=writes, events=events)
+            return self._finish(
+                core, MOVE, 1, writes, events, {"sweep": 1}, sweep_port=1, sweep_out=False, forward=False
+            )
+        return self._finish(core, MOVE, cdr, writes, events, forward=True)
 
     # -- degree >= k neighborhood sweep -------------------------------------------
-    def _sweep_round(self, state, view, core, eff, cluster, events) -> Decision:
+    def _sweep_round(self, state, view, core, eff, leader, events) -> Decision:
         if core.sweep_out:
             if core.sweep_port > view.degree:
                 # neighborhood exhausted (only reachable in degenerate states)
-                new = replace(core, sweep_port=0, sweep_out=False)
-                return self._finish(new, STAY, events=events)
-            new = replace(core, sweep_out=False)
-            return self._finish(new, MOVE, port=core.sweep_port, events=events, extra_note={"sweep": core.sweep_port})
+                return self._finish(core, STAY, events=events, sweep_port=0, sweep_out=False)
+            return self._finish(
+                core, MOVE, core.sweep_port, events=events, extra_note={"sweep": core.sweep_port}, sweep_out=False
+            )
 
         # at a neighbor: settle on empty, yield to stronger, otherwise go back
         if eff is None:
-            if state.id == cluster[0]:
+            if state.id == leader:
                 parent = view.entry_port
                 cdr = _first_port(parent, view.degree)
-                new = replace(
-                    core,
-                    parent=parent,
-                    cdr=cdr,
-                    cdr_used=False,
-                    subtree_done=False,
-                    forward=False,
-                    sweep_port=0,
+                return self._finish(
+                    core, SETTLE, events=events, extra_note={"parent": parent, "cdr": cdr},
+                    parent=parent, cdr=cdr, cdr_used=False, subtree_done=False, forward=False, sweep_port=0,
                     sweep_out=False,
                 )
-                return self._finish(new, SETTLE, events=events, extra_note={"parent": parent, "cdr": cdr})
         else:
             _, _, s_pri, _, _, _, _ = eff
             if s_pri is not None and s_pri > (core.priority or 0):
-                new = replace(core, waiting=True, sweep_port=0, sweep_out=False, forward=False)
-                return self._finish(new, STAY, events=events)
-        new = replace(core, sweep_port=core.sweep_port + 1, sweep_out=True)
+                return self._finish(
+                    core, STAY, events=events, waiting=True, sweep_port=0, sweep_out=False, forward=False
+                )
         return self._finish(
-            new, MOVE, port=view.entry_port, events=events, extra_note={"sweep": core.sweep_port}
+            core, MOVE, view.entry_port, events=events, extra_note={"sweep": core.sweep_port},
+            sweep_port=core.sweep_port + 1, sweep_out=True,
         )

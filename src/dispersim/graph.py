@@ -132,7 +132,11 @@ def build(
     if any(a < 1 or b < 1 for a, b in edges):
         raise GraphError("nodes must be numbered from 1")
 
-    neighbor_order: list[list[int]] = [sorted({b for a, b in _both(edges) if a == v}) for v in range(1, n + 1)]
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        neighbors[a - 1].add(b)
+        neighbors[b - 1].add(a)
+    neighbor_order = [sorted(row) for row in neighbors]
     if port_rule == "seeded-shuffle":
         rng = random.Random(seed)
         for row in neighbor_order:  # node order fixed, so permutations are reproducible
@@ -158,12 +162,6 @@ def from_adjacency(table: dict[int, list[tuple[int, int]]]) -> PortGraph:
         raise GraphError("odd number of port entries")
     _validate(adjacency, m2 // 2)
     return PortGraph(n, m2 // 2, tuple(tuple(row) for row in adjacency))
-
-
-def _both(edges):
-    for a, b in edges:
-        yield a, b
-        yield b, a
 
 
 def ring(n: int) -> PortGraph:

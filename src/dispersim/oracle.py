@@ -28,14 +28,6 @@ class OracleError(RuntimeError):
     pass
 
 
-class BoundViolation(OracleError):
-    pass
-
-
-class MonitorViolation(OracleError):
-    pass
-
-
 class EnumerationTooLarge(OracleError):
     pass
 

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError, fields, replace
+from math import ceil, log2
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersim import cli, engine, graph as graphs, oracle
-from dispersim.arbitrary import ArbitraryCore, ArbitraryDispersion
+from dispersim.arbitrary import ArbitraryCore, ArbitraryDispersion, _evolve
 from dispersim.engine import (
     MOVE,
     SETTLE,
@@ -428,3 +432,117 @@ def test_single_crash_up_to_fault_free_stop_on_phase_root_graphs():
         report = oracle.enumerate_adversary(g, placement, factory, f=1, horizon=stop, per_run_check=check)
         assert report.schedules_tested == len(placement) * stop
         assert report.failures == 0, f"{name}: {report.failure_examples[:1]}"
+
+
+# -- fast paths: one core per transition, node facts once per node --------------------
+
+CORE_FIELDS = [f.name for f in fields(ArbitraryCore)]
+_small = st.integers(0, 40)
+_FIELD_STRATEGIES = {
+    "cid": st.none() | _small,
+    "priority": st.none() | _small,
+    "parent": st.none() | _small,
+    "cdr": st.none() | _small,
+    "cdr_used": st.booleans(),
+    "subtree_done": st.booleans(),
+    "counter": _small,
+    "waiting": st.booleans(),
+    "phase_index": _small,
+    "forward": st.booleans(),
+    "sweep_port": _small,
+    "sweep_out": st.booleans(),
+}
+_field_values = st.fixed_dictionaries(_FIELD_STRATEGIES)
+
+
+def test_field_strategy_covers_every_core_field():
+    assert sorted(_FIELD_STRATEGIES) == sorted(CORE_FIELDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_values, _field_values, st.sets(st.sampled_from(CORE_FIELDS)))
+def test_evolve_equals_dataclasses_replace(base, other, changed):
+    core = ArbitraryCore(**base)
+    changes = {name: other[name] for name in changed}
+    fast, slow = _evolve(core, **changes), replace(core, **changes)
+    assert type(fast) is ArbitraryCore
+    assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+    assert core == ArbitraryCore(**base)  # the source core is untouched
+    with pytest.raises(FrozenInstanceError):
+        fast.counter = 0
+
+
+def test_node_facts_with_interleaved_nodes_match_a_fresh_protocol():
+    # Round-robin clusters at three nodes: in id order consecutive robots sit
+    # at different nodes.  Robots alternate between each node's tuple and an
+    # equal copy of it, so the cache sees several live tuples of equal content.
+    n, k, l = 30, 15, 3
+    g = graphs.random_connected(n, 2 * n, 5)
+    clusters = cli.default_clusters(n, list(range(1, k + 1)), l)
+    groups = [grp for _, grp in clusters]
+    shared = make_protocol(groups, g)
+    world = engine.initial_world(g, {rid: v for v, grp in clusters for rid in grp}, shared)
+    crowded_rounds = 0
+    while not engine.is_dispersed(world, g):
+        assert world.round < shared.round_budget
+        by_node: dict[int, list[RobotState]] = {}
+        for rid in sorted(world.states):
+            by_node.setdefault(world.locations[rid], []).append(world.states[rid])
+        tuples = {v: tuple(grp) for v, grp in by_node.items()}
+        copies = {v: tuple(grp) for v, grp in by_node.items()}
+        crowded = [v for v, grp in by_node.items() if sum(not s.settled for s in grp) > 1]
+        crowded_rounds += len(crowded) > 1
+        for i, rid in enumerate(sorted(world.states)):
+            v = world.locations[rid]
+            view = LocalView(g.degree(v), world.entry_ports[rid], (copies if i % 2 else tuples)[v])
+            state = world.states[rid]
+            assert shared.transition(state, view) == make_protocol(groups, g).transition(state, view)
+        assert len(shared._facts) <= k
+        world = engine.step(world, g, shared, CrashSchedule())
+    assert crowded_rounds > 0
+
+
+def _documented_bits(k, delta, m, l, f):
+    """Per-field widths of the clustered protocol's state: ids in [0, k],
+    ports in [0, delta+1] (0 = null), the counter in [0, phase_len] and
+    the phase index in [0, phases+1]."""
+    phase_len = min(m, k * delta, k * k)
+    a = ceil(log2(k + 1))
+    b = ceil(log2(delta + 2))
+    widths = {
+        "cid": a,
+        "priority": a,
+        "parent": b,
+        "cdr": b,
+        "cdr_used": 1,
+        "subtree_done": 1,
+        "counter": ceil(log2(phase_len + 1)),
+        "waiting": 1,
+        "phase_index": ceil(log2(l + f + 1 + 2)),
+        "forward": 1,
+        "sweep_port": b,
+        "sweep_out": 1,
+    }
+    assert sorted(widths) == sorted(CORE_FIELDS)
+    return a + 1 + sum(widths.values())  # plus the id and the settled flag
+
+
+@pytest.mark.parametrize(
+    "k, delta, m, l, f, bits",
+    [(5, 2, 8, 1, 0, 27), (12, 3, 20, 3, 2, None), (30, 7, 60, 6, 2, None), (100, 15, 400, 4, 9, None)],
+)
+def test_memory_bits_documented_encoding(k, delta, m, l, f, bits):
+    ids = list(range(1, k + 1))
+    proto = ArbitraryDispersion([ids[i::l] for i in range(l)], m, delta, faults=f)
+    expected = _documented_bits(k, delta, m, l, f)
+    assert bits is None or expected == bits
+    c = proto.phase_len
+    settled = fabricate(1, True, cid=k, priority=k, parent=delta, cdr=delta, cdr_used=True, counter=c - 1)
+    waiting = fabricate(2, False, cid=k, priority=k, waiting=True, counter=1, phase_index=l + f)
+    sweeping = fabricate(3, False, cid=k, priority=k, sweep_port=delta, sweep_out=True, counter=c)
+    just_reset = RobotState(1, True, True, proto.transition(
+        fabricate(1, True, cid=k, priority=k, counter=0), LocalView(delta, 0, ())
+    ).core)
+    assert just_reset.core.phase_index == 1 and just_reset.core.cid is None
+    for state in (settled, waiting, sweeping, just_reset):
+        assert proto.memory_bits(state) == expected

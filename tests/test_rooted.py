@@ -285,3 +285,20 @@ def test_property_dispersion_under_any_single_crash(n, extra, seed, data):
     assert result.rounds_elapsed <= protocol.round_budget
     assert oracle.one_mover_violations(result.world.trace) == []
     assert oracle.loop_violations(result.world.trace) == []
+
+
+# ROADMAP item 1: the rooted crash repair rebuilds a node's pointers from its
+# entry port alone, so one crash can leave these runs undispersed within the
+# 7k^2 budget.  Each runs random_connected(n, m, seed) with k = n from root 1.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: rooted crash repair is unsound under one crash")
+@pytest.mark.parametrize(
+    "n, m, seed, crash",
+    [
+        (7, 9, 3, (1, 33)),  # the root's robot crashes; the pool waits at an exhausted root
+        (9, 13, 5, (2, 89)),  # a re-settle closes a parent-pointer cycle
+        (14, 40, 27, (11, 174)),  # a repair re-parents an ancestor under its descendant
+    ],
+)
+def test_single_crash_disperses_item_1(n, m, seed, crash):
+    result, _ = rooted_run(graphs.random_connected(n, m, seed), n, CrashSchedule.from_pairs([crash]))
+    assert result.dispersed
