@@ -44,7 +44,7 @@ class ArbitraryCore:
 _new_core = object.__new__
 
 
-def _evolve(core: ArbitraryCore, **changes) -> ArbitraryCore:
+def _evolve(core: ArbitraryCore, changes: dict) -> ArbitraryCore:
     """``dataclasses.replace(core, **changes)`` without the generated
     ``__init__``: a copy of the frozen core's field dict with the changes
     applied, several times cheaper.  Valid while ArbitraryCore has no slots,
@@ -114,18 +114,15 @@ class ArbitraryDispersion:
     def transition(self, state: RobotState, view: LocalView) -> Decision:
         core: ArbitraryCore = state.core
         reset_round = core.counter == 0
+        events = [("reset", {"phase": core.phase_index + 1, "counter": self.phase_len})] if reset_round else []
         if state.settled:
             if reset_round:
-                events = [("reset", {"phase": core.phase_index + 1, "counter": self.phase_len})]
                 core = ArbitraryCore(counter=self.phase_len, phase_index=core.phase_index + 1)
-                return self._finish(core, STAY, events=events)
-            return self._finish(core, STAY)
+            return self._finish(core, STAY, events=events)
 
-        events: list[tuple[str, dict]] = []
         settled_here, lowest, highest, leaders, top, runner_up = self._node_facts(view.co_located)
         if reset_round:
             # everyone here just re-clustered together; no foreigners possible
-            events.append(("reset", {"phase": core.phase_index + 1, "counter": self.phase_len}))
             core = ArbitraryCore(
                 cid=highest,
                 priority=highest,
@@ -196,7 +193,8 @@ class ArbitraryDispersion:
     ) -> Decision:
         """The decision, with ``changes`` and this round's counter tick
         applied to ``core`` in one construction."""
-        new = _evolve(core, counter=core.counter - 1, **changes)
+        changes["counter"] = core.counter - 1
+        new = _evolve(core, changes)
         note = {
             "cid": new.cid,
             "pri": new.priority,
