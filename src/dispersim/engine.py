@@ -153,8 +153,8 @@ def initial_world(graph: PortGraph, placement: dict[int, int], protocol) -> Worl
     return WorldState(0, states, locations, {rid: 0 for rid in ids})
 
 
-def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule) -> WorldState:
-    """Advance one round.  Returns a new WorldState sharing the trace list."""
+def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule) -> tuple[WorldState, list[TraceEvent]]:
+    """Advance one round: the next world (its trace empty) and the round's events.  ``world`` is unchanged."""
     rnd = world.round + 1
     states = dict(world.states)
     locations = dict(world.locations)
@@ -228,8 +228,7 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
             events.append(TraceEvent(rnd, rid, "settle" if dec.action == SETTLE else "wait", payload))
 
     events.sort(key=lambda e: (KIND_ORDER[e.kind], e.robot))
-    world.trace.extend(events)
-    return WorldState(rnd, states, locations, entry_ports, world.trace)
+    return WorldState(rnd, states, locations, entry_ports), events
 
 
 def is_dispersed(world: WorldState, graph: PortGraph) -> bool:
@@ -284,12 +283,12 @@ def run(
 ) -> SimResult:
     """Drive rounds until no unsettled robot remains or the budget expires.
 
-    Without ``trace_out`` the result keeps the whole trace in
-    ``world.trace``.  With it the trace streams instead: ``trace_out(events,
-    lines)`` receives each chunk of events and their JSON lines as soon as
-    they are hashed (the initial world's events first, then one chunk per
-    round), and ``world.trace`` ends empty, so memory does not grow with the
-    run's length.
+    Each chunk of events (the initial world's kept events, then one per
+    round) is hashed into one running digest and handed to one sink: a list
+    that the result's ``world`` carries as ``trace`` or, when given,
+    ``trace_out(events, lines)``, which also gets the chunk's JSON lines and
+    leaves ``world.trace`` empty, so memory does not grow with the run.
+    ``initial`` is never changed, so one snapshot can seed many runs.
 
     The early exit cannot change outcomes: once every alive robot is settled
     the configuration is a fixed point of the protocols.
@@ -297,30 +296,30 @@ def run(
     schedule = schedule or CrashSchedule()
     budget = protocol.round_budget if max_rounds is None else max_rounds
     world = initial if initial is not None else initial_world(graph, placement, protocol)
+    kept: list[TraceEvent] = []
+    sink = trace_out or (lambda events, lines: kept.extend(events))
     sha = hashlib.sha256()
     max_bits = max((protocol.memory_bits(st) for st in world.states.values() if st.alive), default=0)
+    events = world.trace
     done = False
     while True:
-        if trace_out is not None:
-            lines: list[str] = []
-            digest = trace_hash(world.trace, lines, sha)
-            trace_out(world.trace, lines)
-            world = replace(world, trace=[])  # an earlier world keeps its events
+        lines = None if trace_out is None else []
+        digest = trace_hash(events, lines, sha)
+        sink(events, lines)
         if done or world.round >= budget:
             break
-        world = step(world, graph, protocol, schedule)
+        world, events = step(world, graph, protocol, schedule)
         for st in world.states.values():
             if st.alive:
                 bits = protocol.memory_bits(st)
                 if bits > max_bits:
                     max_bits = bits
         done = not any(st.alive and not st.settled for st in world.states.values())
-    alive = sum(1 for st in world.states.values() if st.alive)
     return SimResult(
-        world=world,
+        world=replace(world, trace=kept),
         rounds_elapsed=world.round,
         dispersed=is_dispersed(world, graph),
-        trace_hash=digest if trace_out is not None else trace_hash(world.trace),
-        alive_count=alive,
+        trace_hash=digest,
+        alive_count=sum(1 for st in world.states.values() if st.alive),
         max_memory_bits=max_bits,
     )

@@ -383,24 +383,18 @@ def enumerate_adversary(
 
 def standard_corpus(max_n: int | None = None, random_graphs: int = 50) -> list[tuple[str, graphs.PortGraph]]:
     """The fixed suite: rings 3..12, paths 2..12, K4/K5, stars 4..8 and seeded
-    random connected graphs with n <= 20, m <= 40."""
-    out: list[tuple[str, graphs.PortGraph]] = []
-    for n in range(3, 13):
-        out.append((f"ring{n}", graphs.ring(n)))
-    for n in range(2, 13):
-        out.append((f"path{n}", graphs.path(n)))
-    out.append(("K4", graphs.complete(4)))
-    out.append(("K5", graphs.complete(5)))
-    for n in range(4, 9):
-        out.append((f"star{n}", graphs.star(n)))
+    random connected graphs with n <= 20, m <= 40.  Only graphs with at most
+    ``max_n`` nodes are built."""
+    specs = [(f"ring{n}", n, graphs.ring, (n,)) for n in range(3, 13)]
+    specs += [(f"path{n}", n, graphs.path, (n,)) for n in range(2, 13)]
+    specs += [("K4", 4, graphs.complete, (4,)), ("K5", 5, graphs.complete, (5,))]
+    specs += [(f"star{n}", n, graphs.star, (n,)) for n in range(4, 9)]
     for seed in range(random_graphs):
         n = 4 + seed % 17  # 4..20
         max_m = min(40, n * (n - 1) // 2)
         m = (n - 1) + seed % (max_m - (n - 1) + 1) if max_m > n - 1 else n - 1
-        out.append((f"rand{n}m{m}s{seed}", graphs.random_connected(n, m, seed)))
-    if max_n is not None:
-        out = [(name, g) for name, g in out if g.node_count <= max_n]
-    return out
+        specs.append((f"rand{n}m{m}s{seed}", n, graphs.random_connected, (n, m, seed)))
+    return [(name, make(*params)) for name, n, make, params in specs if max_n is None or n <= max_n]
 
 
 def k_choices(n: int) -> list[int]:

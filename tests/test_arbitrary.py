@@ -263,7 +263,7 @@ def test_cluster_moves_as_one():
         for rid, st in world.states.items():
             if st.alive and not st.settled:
                 prev_groups.setdefault((world.locations[rid], st.core.cid), []).append(rid)
-        world = engine.step(world, g, proto, schedule)
+        world, _ = engine.step(world, g, proto, schedule)
         for (node, cid), members in prev_groups.items():
             alive = [r for r in members if world.states[r].alive]
             spots = {world.locations[r] for r in alive if not world.states[r].settled}
@@ -285,7 +285,7 @@ def test_counter_agreement_every_round():
     schedule = CrashSchedule.from_pairs([(2, 4)])
     world = engine.initial_world(g, {1: 1, 2: 1, 3: 1, 4: 5, 5: 5}, proto)
     for _ in range(proto.round_budget):
-        world = engine.step(world, g, proto, schedule)
+        world, _ = engine.step(world, g, proto, schedule)
         counters = {st.core.counter for st in world.states.values() if st.alive}
         assert len(counters) == 1
         if not any(st.alive and not st.settled for st in world.states.values()):
@@ -302,7 +302,7 @@ def test_crash_effects_confined_to_their_phase():
     placement = {1: 1, 2: 1, 3: 1, 4: 4, 5: 4, 6: 4}
     world = engine.initial_world(g, placement, proto)
     for _ in range(proto.phase_len):
-        world = engine.step(world, g, proto, schedule)
+        world, _ = engine.step(world, g, proto, schedule)
     run_a = run(g, {}, proto, schedule, initial=world)
 
     # fresh start from the boundary configuration
@@ -498,7 +498,7 @@ def test_node_facts_with_interleaved_nodes_match_a_fresh_protocol():
             state = world.states[rid]
             assert shared.transition(state, view) == make_protocol(groups, g).transition(state, view)
         assert len(shared._facts) <= k
-        world = engine.step(world, g, shared, CrashSchedule())
+        world, _ = engine.step(world, g, shared, CrashSchedule())
     assert crowded_rounds > 0
 
 

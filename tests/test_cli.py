@@ -282,6 +282,18 @@ def test_verify_determinism_suite(tmp_path):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("out", ["adir", "afile/report.json"], ids=["a-dir", "under-a-file"])
+def test_verify_bad_out_is_config_error_before_the_suite_runs(tmp_path, capsys, monkeypatch, out):
+    def no_suite(name):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(oracle, "check_criterion", no_suite)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    assert cli.main(["verify", "determinism", "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_run_rejects_bad_placement(tmp_path):
     cfg = dict(ROOTED_RING3, placement={"root": 9})
     assert cli.main(["run", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]) == 2

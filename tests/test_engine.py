@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 
 import pytest
 
-from dispersim import engine, graph as graphs
+from dispersim import cli, engine, graph as graphs, oracle
 from dispersim.engine import (
     MOVE,
     SETTLE,
@@ -68,12 +68,14 @@ def test_crashed_robot_leaves_all_views():
         return base_transition(state, view)
 
     protocol.transition = spy
+    trace = []
     for _ in range(8):
-        world = engine.step(world, g, protocol, schedule)
+        world, events = engine.step(world, g, protocol, schedule)
+        trace += events
     assert views_of_1[:4] == [{1, 2}] * 4
     assert all(ids == {1} for ids in views_of_1[4:])
     assert world.locations[2] is None
-    assert not any(e.robot == 2 and e.round > 5 for e in world.trace)
+    assert not any(e.robot == 2 and e.round > 5 for e in trace)
 
 
 def test_crash_event_precedes_everything_in_round():
@@ -81,8 +83,8 @@ def test_crash_event_precedes_everything_in_round():
     protocol = StubProtocol(script={1: lambda s, v: Decision(s.core, STAY)})
     schedule = CrashSchedule.from_pairs([(1, 1)])
     world = engine.initial_world(g, {1: 1}, protocol)
-    world = engine.step(world, g, protocol, schedule)
-    assert [e.kind for e in world.trace] == ["crash"]
+    world, events = engine.step(world, g, protocol, schedule)
+    assert [e.kind for e in events] == ["crash"]
     assert engine.is_dispersed(world, g)  # vacuous: zero alive robots
 
 
@@ -104,14 +106,14 @@ def test_write_arbitration_higher_priority_wins():
     protocol = StubProtocol(script={1: settled, 2: writer(5, 500), 3: writer(9, 900)})
     world = engine.initial_world(g, {1: 2, 2: 2, 3: 2}, protocol)
     world.states[1] = replace(world.states[1], settled=True)
-    world = engine.step(world, g, protocol, CrashSchedule())
+    world, _ = engine.step(world, g, protocol, CrashSchedule())
     assert world.states[1].core.tag == 900
 
     # equal priority: higher writer id wins
     protocol = StubProtocol(script={1: settled, 2: writer(5, 500), 3: writer(5, 900)})
     world = engine.initial_world(g, {1: 2, 2: 2, 3: 2}, protocol)
     world.states[1] = replace(world.states[1], settled=True)
-    world = engine.step(world, g, protocol, CrashSchedule())
+    world, _ = engine.step(world, g, protocol, CrashSchedule())
     assert world.states[1].core.tag == 900
 
 
@@ -143,6 +145,33 @@ def test_settled_robot_cannot_move():
     world.states[1] = replace(world.states[1], settled=True)
     with pytest.raises(engine.EngineError):
         engine.step(world, g, protocol, CrashSchedule())
+
+
+def test_step_leaves_its_input_world_unchanged():
+    g = graphs.ring(6)
+    ids = [1, 2, 3]
+    protocol = RootedDispersion(ids, g.max_degree())
+    schedule = CrashSchedule.from_pairs([(2, 4)])
+    world = engine.run(g, {i: 1 for i in ids}, protocol, schedule, max_rounds=3).world
+    before = (dict(world.states), dict(world.locations), dict(world.entry_ports), list(world.trace))
+    for _ in range(2):
+        nxt, events = engine.step(world, g, protocol, schedule)
+        assert (world.states, world.locations, world.entry_ports, world.trace) == before
+        assert nxt.round == 4 and nxt.trace == [] and any(e.kind == "crash" for e in events)
+
+
+@pytest.mark.parametrize("index", [1, 6], ids=["rooted-ring6-crash", "arbitrary-l2-crash"])
+def test_kept_runs_from_one_snapshot_equal_the_full_run(index):
+    sc = cli.Scenario.from_config(oracle.determinism_configs()[index])
+    args = (sc.graph, sc.placement, sc.protocol, sc.schedule)
+    full = engine.run(*args)
+    head = engine.run(*args, max_rounds=full.rounds_elapsed // 2)
+    head_events = len(head.world.trace)
+    for _ in range(2):
+        rest = engine.run(*args, initial=head.world)
+        assert rest.world.trace == full.world.trace
+        assert rest.trace_hash == full.trace_hash
+        assert len(head.world.trace) == head_events
 
 
 def test_local_view_carries_no_node_identity():
@@ -177,7 +206,7 @@ def test_first_robot_settles_at_root():
     g = graphs.path(2)
     protocol = RootedDispersion([1], g.max_degree())
     world = engine.initial_world(g, {1: 1}, protocol)
-    world = engine.step(world, g, protocol, CrashSchedule())
+    world, _ = engine.step(world, g, protocol, CrashSchedule())
     assert world.states[1].settled
     assert world.locations[1] == 1
 

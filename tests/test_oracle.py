@@ -313,3 +313,14 @@ def test_corpus_is_deterministic_and_in_bounds():
     for name, g in a:
         assert g.node_count <= 20 and g.edge_count <= 40
     assert all(g.node_count <= 6 for _, g in oracle.standard_corpus(max_n=6))
+
+
+@pytest.mark.parametrize("max_n", [4, 6, 8, 12])
+def test_corpus_builds_only_the_graphs_it_returns(monkeypatch, max_n):
+    full = oracle.standard_corpus()
+    built = []
+    for name in ("ring", "path", "complete", "star", "random_connected"):
+        real = getattr(oracle.graphs, name)
+        monkeypatch.setattr(oracle.graphs, name, lambda *a, real=real: built.append(real(*a)) or built[-1])
+    assert oracle.standard_corpus(max_n=max_n) == [(name, g) for name, g in full if g.node_count <= max_n]
+    assert all(g.node_count <= max_n for g in built)
