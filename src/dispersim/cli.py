@@ -385,15 +385,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.out:
-        _out_dir(str(Path(args.out).parent))
-        if Path(args.out).is_dir():
+    out = Path(args.out) if args.out else None
+    if out is not None:  # checked before the suite runs, as for run and sweep
+        _out_dir(str(out.parent))
+        if out.is_dir():
             raise ConfigError(f"cannot use --out {args.out}: it is a directory")
     passed, details = oracle.check_criterion(args.suite)
     line = json.dumps({"suite": args.suite, "passed": passed, **details}, sort_keys=True)
     print(line)
-    if args.out:
-        Path(args.out).write_text(line + "\n")
+    if out is not None:
+        out.write_text(line + "\n")
     return 0 if passed else 1
 
 

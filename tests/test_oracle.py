@@ -319,8 +319,15 @@ def test_corpus_is_deterministic_and_in_bounds():
 def test_corpus_builds_only_the_graphs_it_returns(monkeypatch, max_n):
     full = oracle.standard_corpus()
     built = []
+
+    def recording(make):
+        def build(*params):
+            built.append(make(*params))
+            return built[-1]
+
+        return build
+
     for name in ("ring", "path", "complete", "star", "random_connected"):
-        real = getattr(oracle.graphs, name)
-        monkeypatch.setattr(oracle.graphs, name, lambda *a, real=real: built.append(real(*a)) or built[-1])
+        monkeypatch.setattr(oracle.graphs, name, recording(getattr(oracle.graphs, name)))
     assert oracle.standard_corpus(max_n=max_n) == [(name, g) for name, g in full if g.node_count <= max_n]
     assert all(g.node_count <= max_n for g in built)
