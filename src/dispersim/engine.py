@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .graph import PortGraph
 
@@ -246,14 +247,15 @@ def is_dispersed(world: WorldState, graph: PortGraph) -> bool:
     return True
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# json.dumps(obj, sort_keys=True, separators=(",", ":")) as one C encoder, built once, not per call
+_ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True)
 
 
 def event_line(event: TraceEvent) -> str:
     """One canonical JSON object: sorted keys, no spaces.  The outer object's
     four keys are written directly, in their sorted order."""
     return (
-        f'{{"kind":{_ENCODE(event.kind)},"payload":{_ENCODE(event.payload)},'
+        f'{{"kind":{encode_basestring_ascii(event.kind)},"payload":{"".join(_ENCODE(event.payload, 0))},'
         f'"robot":{event.robot:d},"round":{event.round:d}}}'
     )
 

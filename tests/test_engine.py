@@ -3,6 +3,7 @@ predicate, memory accounting, determinism."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields, replace
 
 import pytest
@@ -237,6 +238,19 @@ def test_run_is_deterministic():
     ]
     assert results[0].trace_hash == results[1].trace_hash
     assert results[0].summary() == results[1].summary()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [None, {}, {"node": 3, "entry": 0}, {"z": [1, 2.5, None], "a": {"b": True, "a": "é"}}],
+    ids=["none", "empty", "flat", "nested"],
+)
+def test_event_line_is_canonical_json(payload):
+    event = engine.TraceEvent(7, 2, "move", payload)
+    expected = json.dumps(
+        {"round": 7, "robot": 2, "kind": "move", "payload": payload}, sort_keys=True, separators=(",", ":")
+    )
+    assert engine.event_line(event) == expected
 
 
 def test_all_crash_round_one_vacuously_dispersed():
