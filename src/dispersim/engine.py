@@ -311,12 +311,9 @@ def run(
         if done or world.round >= budget:
             break
         world, events = step(world, graph, protocol, schedule)
-        for st in world.states.values():
-            if st.alive:
-                bits = protocol.memory_bits(st)
-                if bits > max_bits:
-                    max_bits = bits
-        done = not any(st.alive and not st.settled for st in world.states.values())
+        alive = [st for st in world.states.values() if st.alive]
+        max_bits = max(max_bits, max(map(protocol.memory_bits, alive), default=0))
+        done = all(st.settled for st in alive)
     return SimResult(
         world=replace(world, trace=kept),
         rounds_elapsed=world.round,
