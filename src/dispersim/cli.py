@@ -140,13 +140,17 @@ def _setup_factory(cfg: dict, g: graphs.PortGraph, faults=None):
     return partial(ArbitraryDispersion, clusters, g.edge_count, g.max_degree(), faults=f, **phases), placement
 
 
+def _first_protocol(factory):
+    try:
+        return factory()
+    except ValueError as exc:  # e.g. the default phase length of a graph without edges
+        raise ConfigError(f"bad protocol parameters: {exc}") from exc
+
+
 def build_setup(cfg: dict, g: graphs.PortGraph, faults=None):
     """Resolve (protocol, placement); ``faults`` is the parsed faults section."""
     factory, placement = _setup_factory(cfg, g, faults)
-    try:
-        return factory(), placement
-    except ValueError as exc:  # e.g. the default phase length of a graph without edges
-        raise ConfigError(f"bad protocol parameters: {exc}") from exc
+    return _first_protocol(factory), placement
 
 
 def _faults(cfg: dict, ids: list[int]):
@@ -193,9 +197,9 @@ def build_schedule(cfg: dict, ids: list[int], budget: int, faults=None) -> Crash
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated config: graph, protocol, placement, crash schedule, round
-    limit and, when faults.exhaustive asks for every crash schedule instead
-    of one run, a protocol factory and (f, horizon)."""
+    """A validated config: graph, protocol factory and the protocol it made
+    first, placement, crash schedule, round limit and, when faults.exhaustive
+    asks for every crash schedule instead of one run, (f, horizon)."""
 
     graph: graphs.PortGraph
     factory: object
@@ -210,11 +214,11 @@ class Scenario:
         """Build and validate; ``graph`` replaces building cfg["graph"]."""
         g = build_graph(cfg.get("graph", {})) if graph is None else graph
         faults = _faults(cfg, robot_ids(cfg))
-        protocol, placement = build_setup(cfg, g, faults)
+        factory, placement = _setup_factory(cfg, g, faults)
+        protocol = _first_protocol(factory)
         schedule = build_schedule(cfg, sorted(placement), protocol.round_budget, faults)
         max_rounds = None if cfg.get("max_rounds") is None else _int(cfg["max_rounds"], "max_rounds", 0)
         exhaustive = faults[1] if faults[0] == "exhaustive" else None
-        factory = None if exhaustive is None else _setup_factory(cfg, g, faults)[0]
         return cls(g, factory, protocol, placement, schedule, max_rounds, exhaustive)
 
     def run(self, trace_out=None):
@@ -284,7 +288,7 @@ def cmd_run(args) -> int:
     problems = run_monitors(result, sc.protocol, sc.graph, monitors)
     for p in problems:
         print(f"FAIL: {p}", file=sys.stderr)
-    return 0 if result.dispersed and not problems else 1
+    return 1 if problems else 0
 
 
 def cmd_replay(args) -> int:

@@ -260,18 +260,19 @@ def event_line(event: TraceEvent) -> str:
     )
 
 
-def trace_hash(trace: list[TraceEvent], out: list[str] | None = None, sha=None) -> str:
+def trace_hash(trace: list[TraceEvent], out: list[str] | None = None, sha=None) -> str | None:
     """SHA-256 of the trace's JSON lines.  Each line is also appended to
     ``out`` when one is given, so a run's trace file is encoded only once;
     ``sha`` continues a running hash, so a streamed trace hashes chunk by
-    chunk to the digest of the whole."""
+    chunk to the digest of the whole.  The digest is returned only when no
+    ``sha`` is given: its owner reads it once, when the trace is complete."""
     h = hashlib.sha256() if sha is None else sha
     for event in trace:
         line = event_line(event) + "\n"
         h.update(line.encode())
         if out is not None:
             out.append(line)
-    return h.hexdigest()
+    return h.hexdigest() if sha is None else None
 
 
 def run(
@@ -306,7 +307,7 @@ def run(
     done = False
     while True:
         lines = None if trace_out is None else []
-        digest = trace_hash(events, lines, sha)
+        trace_hash(events, lines, sha)
         sink(events, lines)
         if done or world.round >= budget:
             break
@@ -318,7 +319,7 @@ def run(
         world=replace(world, trace=kept),
         rounds_elapsed=world.round,
         dispersed=is_dispersed(world, graph),
-        trace_hash=digest,
+        trace_hash=sha.hexdigest(),
         alive_count=sum(1 for st in world.states.values() if st.alive),
         max_memory_bits=max_bits,
     )

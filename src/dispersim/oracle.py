@@ -73,35 +73,20 @@ def memory_envelope(k: int, delta: int) -> int:
     return 4 * (ceil(log2(k + 1)) + ceil(log2(delta + 2))) + 16
 
 
-@dataclass
-class BoundsReport:
-    ok: bool
-    round_bound: int
-    rounds: int
-    memory_bound: int
-    memory: int
-    violations: list[str]
-
-
-def check_bounds(result: SimResult, protocol, k: int, delta: int) -> BoundsReport:
+def check_bounds(result: SimResult, protocol, g: graphs.PortGraph) -> list[str]:
+    """The run's violations of the round budget, the memory envelope and
+    dispersal."""
     violations = []
     if result.rounds_elapsed > protocol.round_budget:
         violations.append(
             f"rounds {result.rounds_elapsed} exceed budget {protocol.round_budget}"
         )
-    env = memory_envelope(k, delta)
+    env = memory_envelope(protocol.k, g.max_degree())
     if result.max_memory_bits > env:
         violations.append(f"memory {result.max_memory_bits} exceeds envelope {env}")
     if not result.dispersed:
         violations.append("run did not disperse")
-    return BoundsReport(
-        ok=not violations,
-        round_bound=protocol.round_budget,
-        rounds=result.rounds_elapsed,
-        memory_bound=env,
-        memory=result.max_memory_bits,
-        violations=violations,
-    )
+    return violations
 
 
 # -- trace monitors ---------------------------------------------------------------
@@ -274,27 +259,22 @@ def cdr_progression_violations(trace: list[TraceEvent]) -> list[tuple[int, int]]
 
 
 def trace_monitors(protocol) -> dict[str, object]:
-    """Fresh folds of the trace monitors that apply to the protocol, keyed by
-    the problem each reports."""
+    """Fresh folds of every trace monitor that applies to the protocol, keyed
+    by the problem each reports: the one registry of trace monitors."""
     if isinstance(protocol, RootedDispersion):
-        return {"one-mover violation": OneMoverFold(), "loop detected": LoopFold()}
+        return {"one-mover violation": OneMoverFold(), "loop detected": LoopFold(),
+                "retreat-overrun": RetreatFold(protocol.rank)}
     return {"counter disagreement": CounterFold(), "cluster count increased": ClusterCountFold(protocol.phase_len)}
 
 
 def run_monitors(result: SimResult, protocol, g: graphs.PortGraph, monitors=None) -> list[str]:
-    """Everything a single run must satisfy: bounds, dispersal and monitors
-    (``monitors`` as in ``trace_problems``)."""
-    bounds = check_bounds(result, protocol, protocol.k, g.max_degree())
-    return bounds.violations + trace_problems(result, protocol, monitors)
-
-
-def trace_problems(result: SimResult, protocol, monitors=None) -> list[str]:
-    """The trace monitors that apply to the run's protocol.  ``monitors`` are
-    the ``trace_monitors`` folds already fed a streamed run's trace; without
+    """The per-run check: everything a single run must satisfy, the bounds
+    and dispersal of ``check_bounds`` and then the ``trace_monitors``.
+    ``monitors`` are those folds already fed a streamed run's trace; without
     them the result's kept trace is fed to fresh ones."""
     if monitors is None:
         monitors = {problem: fold.feed(result.world.trace) for problem, fold in trace_monitors(protocol).items()}
-    return [problem for problem, fold in monitors.items() if fold.found]
+    return check_bounds(result, protocol, g) + [problem for problem, fold in monitors.items() if fold.found]
 
 
 # -- exhaustive adversary -----------------------------------------------------------
@@ -381,7 +361,10 @@ def enumerate_adversary(
 # -- graph corpus --------------------------------------------------------------------
 
 
-def standard_corpus(max_n: int | None = None, random_graphs: int = 50) -> list[tuple[str, graphs.PortGraph]]:
+RANDOM_GRAPHS = 50  # seeded random graphs in the standard corpus
+
+
+def standard_corpus(max_n: int | None = None) -> list[tuple[str, graphs.PortGraph]]:
     """The fixed suite: rings 3..12, paths 2..12, K4/K5, stars 4..8 and seeded
     random connected graphs with n <= 20, m <= 40.  Only graphs with at most
     ``max_n`` nodes are built."""
@@ -389,7 +372,7 @@ def standard_corpus(max_n: int | None = None, random_graphs: int = 50) -> list[t
     specs += [(f"path{n}", n, graphs.path, (n,)) for n in range(2, 13)]
     specs += [("K4", 4, graphs.complete, (4,)), ("K5", 5, graphs.complete, (5,))]
     specs += [(f"star{n}", n, graphs.star, (n,)) for n in range(4, 9)]
-    for seed in range(random_graphs):
+    for seed in range(RANDOM_GRAPHS):
         n = 4 + seed % 17  # 4..20
         max_m = min(40, n * (n - 1) // 2)
         m = (n - 1) + seed % (max_m - (n - 1) + 1) if max_m > n - 1 else n - 1
@@ -434,37 +417,25 @@ class MemoryAudit:
         self.worst = 0
         self.over: list[str] = []
 
-    def record(self, label: str, bounds: BoundsReport) -> None:
+    def record(self, label: str, result: SimResult, protocol, g: graphs.PortGraph) -> None:
+        env = memory_envelope(protocol.k, g.max_degree())
         self.runs += 1
-        self.worst = max(self.worst, bounds.memory)
-        if bounds.memory > bounds.memory_bound:
-            self.over.append(f"{label}: {bounds.memory} > {bounds.memory_bound}")
+        self.worst = max(self.worst, result.max_memory_bits)
+        if result.max_memory_bits > env:
+            self.over.append(f"{label}: {result.max_memory_bits} > {env}")
 
 
-def _audited_bounds(audit: MemoryAudit, label: str, result: SimResult, protocol, g) -> list[str]:
-    bounds = check_bounds(result, protocol, protocol.k, g.max_degree())
-    audit.record(label, bounds)
-    return bounds.violations
-
-
-def _problems(audit: MemoryAudit, label: str, result: SimResult, protocol, g, bounded=True) -> list[str]:
-    """The per-run check every criterion shares: run_monitors (round budget,
-    memory envelope, dispersal, trace monitors) plus, for rooted runs, the 3i
-    retreat deadline.  Without ``bounded`` only the envelope of check_bounds
-    applies, for runs cut short on purpose or whose caller checks the rest."""
-    problems = _audited_bounds(audit, label, result, protocol, g)
-    if not bounded:
-        problems = [v for v in problems if v.startswith("memory")]
-    problems += trace_problems(result, protocol)
-    if isinstance(protocol, RootedDispersion) and retreat_violations(result.world.trace, protocol.rank):
-        problems.append("retreat-overrun")
-    return problems
+def _problems(audit: MemoryAudit, label: str, result: SimResult, protocol, g) -> list[str]:
+    """The per-run check every criterion shares: the run is audited, then
+    judged by run_monitors."""
+    audit.record(label, result, protocol, g)
+    return run_monitors(result, protocol, g)
 
 
 def _exhaustive(audit: MemoryAudit, label: str, g, placement, factory) -> tuple[int, list[str]]:
     """Every single-crash schedule of one instance: (schedules, failures)."""
-    probe = factory()  # enumerate_adversary checks dispersal and the round budget itself
-    check = lambda result, schedule: _problems(audit, label, result, probe, g, bounded=False)
+    probe = factory()
+    check = lambda result, schedule: _problems(audit, label, result, probe, g)
     report = enumerate_adversary(g, placement, factory, f=1, per_run_check=check)
     return report.schedules_tested, [f"{label}: {report.failure_examples[:1]}"] if report.failures else []
 
@@ -533,7 +504,8 @@ def rooted_multicrash(audit: MemoryAudit) -> dict:
         result = run(g, {i: 1 for i in ids}, protocol, schedule)
         # No trace monitors here: in trial 58 (rand14m40s27, k=14) robot 13 loops
         # and overruns its retreat from round 245, though the run disperses in time.
-        problems = _audited_bounds(audit, f"trial {trial}", result, protocol, g)
+        audit.record(f"trial {trial}", result, protocol, g)
+        problems = check_bounds(result, protocol, g)
         if problems:
             failures.append(f"trial {trial} ({name}, k={k}, f={f}): {problems}")
         if any(e.kind == "repair" for e in result.world.trace):
@@ -594,7 +566,8 @@ def phase_isolation(audit: MemoryAudit) -> dict:
         protocol = ArbitraryDispersion(groups, g.edge_count, g.max_degree(), faults=f)
         schedule = random_schedule(rng, ids, f, protocol.round_budget, first=protocol.phase_len + 1)
         result = run(g, placement, protocol, schedule, max_rounds=protocol.phase_len)
-        problems = _problems(audit, name, result, protocol, g, bounded=False)
+        # the run stops at the end of phase 0 on purpose, so it need not disperse
+        problems = [p for p in _problems(audit, name, result, protocol, g) if p != "run did not disperse"]
         unsettled = [r for r in max(groups, key=max) if not result.world.states[r].settled]
         if unsettled:
             problems.append(f"top cluster robots {unsettled} unsettled")

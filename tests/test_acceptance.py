@@ -16,11 +16,25 @@ from dispersim import cli, oracle
 
 AUDIT = oracle.MemoryAudit()
 
+# What each criterion covers, so that no change can drop runs silently.
+COUNTS = {
+    "rooted-faultfree": {"runs": 233},
+    "rooted-exhaustive": {"schedules": 12817},
+    "rooted-multicrash": {"trials": 200, "repair_trials": 2},
+    "arbitrary-envelope": {"runs": 600},
+    "phase-isolation": {"configs": 20},
+    "arbitrary-faultfree": {"runs": 278},
+    "arbitrary-exhaustive": {"schedules": 2082},
+    "k-only-fallback": {"runs": 109},
+    "determinism": {"configs": 10},
+}
+
 
 def check(label: str, name: str) -> dict:
     passed, report = oracle.check_criterion(name, AUDIT)
     print(f"ACCEPTANCE {label} ({name}): {'PASS' if passed else 'FAIL'} {report}")
     assert passed, f"{label} failed: {report['failures'][:3]}"
+    assert {key: report[key] for key in COUNTS[name]} == COUNTS[name]
     return report
 
 
@@ -54,7 +68,8 @@ def test_criterion_8_unknown_parameters_fallback():
 
 
 def test_criterion_6_memory_envelope_across_all_runs():
-    ok = not AUDIT.over and AUDIT.runs > 10000
+    # every run of criteria 1-5 and 8 and of both arbitrary suites, the exhaustive ones included
+    ok = not AUDIT.over and AUDIT.runs == 16339 and AUDIT.worst == 39
     detail = f"{AUDIT.runs} runs audited, worst {AUDIT.worst} bits; over: {AUDIT.over[:3]}"
     print(f"ACCEPTANCE criterion-6 memory envelope: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, detail

@@ -124,6 +124,23 @@ def test_run_that_raises_midway_leaves_the_previous_outputs(tmp_path, capsys, mo
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize(
+    "n, m, seed, crash",
+    [
+        (9, 13, 5, [2, 89]),  # ROADMAP item 1's case 2
+        (14, 40, 27, [11, 174]),  # and its case 3
+    ],
+)
+def test_run_fails_on_what_the_per_run_check_finds(tmp_path, capsys, n, m, seed, crash):
+    cfg = {**ROOTED_RING3, "graph": {"generator": "random_connected", "n": n, "m": m, "seed": seed},
+           "robots": {"k": n}, "faults": {"schedule": [crash]}}
+    assert cli.main(["run", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]) == 1
+    failed = {line.removeprefix("FAIL: ") for line in capsys.readouterr().err.splitlines()}
+    sc = cli.Scenario.from_config(cfg)
+    expected = oracle._problems(oracle.MemoryAudit(), "kept", sc.run(), sc.protocol, sc.graph)
+    assert "retreat-overrun" in expected and failed == set(expected)
+
+
 STREAMED_CONFIGS = oracle.determinism_configs() + [
     json.loads(p.read_text()) for p in sorted(SAMPLE_CONFIGS.glob("*.json")) if "sweep" not in p.name
 ]

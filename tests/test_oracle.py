@@ -47,8 +47,7 @@ def test_round_bound_arithmetic():
     protocol = RootedDispersion(ids, g.max_degree())
     assert protocol.round_budget == 7 * 16
     result = run(g, {i: 1 for i in ids}, protocol)
-    report = oracle.check_bounds(result, protocol, 4, g.max_degree())
-    assert report.ok and report.rounds <= 112
+    assert oracle.check_bounds(result, protocol, g) == [] and result.rounds_elapsed <= 112
 
     single = RootedDispersion([1], 2)
     assert single.round_budget == 7
@@ -66,8 +65,7 @@ def test_check_bounds_flags_violations():
     result = run(g, {i: 1 for i in ids}, protocol)
     # shrink the claimed budget artificially to force a violation report
     protocol.round_budget = 1
-    report = oracle.check_bounds(result, protocol, 2, g.max_degree())
-    assert not report.ok and any("rounds" in v for v in report.violations)
+    assert any("rounds" in v for v in oracle.check_bounds(result, protocol, g))
 
 
 # -- monitors -----------------------------------------------------------------------
@@ -130,6 +128,11 @@ def test_cluster_count_monitor_detects_synthetic_increase():
     mk = lambda rnd, rid, cid: TraceEvent(rnd, rid, "wait", {"cid": cid, "counter": 0})
     trace = [mk(1, 1, 10), mk(1, 2, 10), mk(L + 1, 1, 10), mk(L + 1, 2, 22)]
     assert oracle.cluster_count_regressions(trace, L) == [1]
+
+
+def test_rooted_trace_monitors_include_the_retreat_deadline():
+    protocol = RootedDispersion([1, 2, 3], 2)
+    assert set(oracle.trace_monitors(protocol)) == {"one-mover violation", "loop detected", "retreat-overrun"}
 
 
 # -- monitors as folds --------------------------------------------------------------------
@@ -275,7 +278,7 @@ def test_fuzz_500_random_rooted_trials_stay_in_bounds():
                 [(v, rng.randint(1, protocol.round_budget)) for v in victims]
             )
         result = run(g, {i: 1 for i in ids}, protocol, schedule)
-        if not oracle.check_bounds(result, protocol, k, g.max_degree()).ok:
+        if oracle.check_bounds(result, protocol, g):
             failures += 1
     assert failures == 0
 
