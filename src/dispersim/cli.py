@@ -9,10 +9,8 @@ config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -147,9 +145,9 @@ def _first_protocol(factory):
         raise ConfigError(f"bad protocol parameters: {exc}") from exc
 
 
-def build_setup(cfg: dict, g: graphs.PortGraph, faults=None):
-    """Resolve (protocol, placement); ``faults`` is the parsed faults section."""
-    factory, placement = _setup_factory(cfg, g, faults)
+def build_setup(cfg: dict, g: graphs.PortGraph):
+    """Resolve (protocol, placement)."""
+    factory, placement = _setup_factory(cfg, g)
     return _first_protocol(factory), placement
 
 
@@ -335,7 +333,7 @@ def _sweep_point(task: dict) -> list:
             clusters = default_clusters(g.node_count, robot_ids(cfg), task["l"])
             cfg = dict(cfg, placement={"clusters": [{"node": v, "robots": grp} for v, grp in clusters]})
         sc = Scenario.from_config(cfg, g)
-        result = sc.run()
+        result = sc.run(trace_out=lambda events, lines: None)  # the row reads no event, so none is kept
         row = [g.node_count, g.edge_count, g.max_degree(), sc.protocol.k, task["f"], task["l"], cfg["protocol"]]
         return row + [result.rounds_elapsed, result.dispersed, result.max_memory_bits, ""]
     except Exception as exc:  # recorded per row, sweep continues
@@ -343,6 +341,10 @@ def _sweep_point(task: dict) -> list:
 
 
 def cmd_sweep(args) -> int:
+    # sweep is their only user: importing them here keeps them out of every other command
+    import csv
+    import multiprocessing
+
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ConfigError(f"--jobs must lie in 1..{cpus}")

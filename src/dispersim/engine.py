@@ -106,8 +106,10 @@ class CrashSchedule:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
+    """One trace line; slotted, so a kept event is one allocation besides its payload."""
+
     round: int
     robot: int
     kind: str

@@ -236,28 +236,6 @@ def cluster_count_regressions(trace: list[TraceEvent], phase_len: int) -> list[i
     return ClusterCountFold(phase_len).feed(trace).found
 
 
-def cdr_progression_violations(trace: list[TraceEvent]) -> list[tuple[int, int]]:
-    """Settled pointers may only regress through an explicit repair or a fresh
-    settlement at that node (crash replacement) -- the progress property."""
-    last: dict[int, tuple] = {}
-    resets: dict[int, int] = {}  # node -> round of last repair/settle there
-    out = []
-    for e in trace:
-        if e.kind in ("repair", "settle") and e.payload:
-            resets[e.payload["node"]] = e.round
-        if e.kind != "move" or not e.payload or "at" not in e.payload:
-            continue
-        node = e.payload["node"]
-        snap = e.payload["at"]
-        rank_now = (1 if snap["done"] else 0, snap["cdr"] or 0, 1 if snap["used"] else 0)
-        if node in last:
-            prev_round, prev_rank = last[node]
-            if rank_now < prev_rank and resets.get(node, -1) < prev_round:
-                out.append((e.robot, e.round))
-        last[node] = (e.round, rank_now)
-    return out
-
-
 def trace_monitors(protocol) -> dict[str, object]:
     """Fresh folds of every trace monitor that applies to the protocol, keyed
     by the problem each reports: the one registry of trace monitors."""
@@ -320,8 +298,10 @@ def enumerate_adversary(
 ) -> AdversaryReport:
     """Run every (victims, rounds) crash schedule and aggregate the worst case.
 
-    ``per_run_check(result, schedule) -> list[str]`` may add extra failure
-    conditions (monitors); aggregation is order-insensitive.
+    Each run is judged by ``check_bounds``; ``per_run_check(result,
+    schedule) -> list[str]`` may add extra failure conditions (monitors),
+    and a problem it repeats is listed once.  Aggregation is
+    order-insensitive.
     """
     ids = sorted(placement)
     k = len(ids)
@@ -340,13 +320,9 @@ def enumerate_adversary(
     for schedule in enumerate_schedules(ids, f, horizon):
         result = run(g, placement, protocol_factory(), schedule)
         tested += 1
-        problems = []
-        if not result.dispersed:
-            problems.append("not dispersed")
-        if result.rounds_elapsed > probe.round_budget:
-            problems.append("round bound exceeded")
+        problems = check_bounds(result, probe, g)
         if per_run_check is not None:
-            problems.extend(per_run_check(result, schedule))
+            problems += [p for p in per_run_check(result, schedule) if p not in problems]
         if problems:
             failures += 1
             if len(examples) < 5:

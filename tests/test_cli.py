@@ -6,7 +6,10 @@ import contextlib
 import csv
 import io
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -164,27 +167,53 @@ def test_streamed_run_hashes_and_writes_the_kept_trace(index):
     assert [e for chunk in chunks for e in chunk] == kept.world.trace
 
 
-def test_run_memory_does_not_grow_with_the_trace(tmp_path, capsys):
+# cut at 300 of its 1,332 rounds: tracemalloc makes the whole run take 12 s
+RING30 = {**ROOTED_RING3, "graph": {"generator": "ring", "n": 30}, "robots": {"k": 30},
+          "faults": {"schedule": [[3, 20]]}, "max_rounds": 300}
+
+
+def peak_bytes(*works):
+    """The tracemalloc peak of each work, above what was allocated before it."""
     import tracemalloc
 
-    # cut at 300 of its 1,332 rounds: tracemalloc makes the whole run take 12 s
-    cfg = {**ROOTED_RING3, "graph": {"generator": "ring", "n": 30}, "robots": {"k": 30},
-           "faults": {"schedule": [[3, 20]]}, "max_rounds": 300}
-    path = write_config(tmp_path, "k30.json", cfg)
-
-    def peak_bytes(work):
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        work()
-        return tracemalloc.get_traced_memory()[1] - start
-
+    peaks = []
     tracemalloc.start()
     try:
-        kept = peak_bytes(lambda: cli.run_config_dict(cfg))
-        streamed = peak_bytes(lambda: cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]))
+        for work in works:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            work()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
+    return peaks
+
+
+def test_run_memory_does_not_grow_with_the_trace(tmp_path, capsys):
+    path = write_config(tmp_path, "k30.json", RING30)
+    kept, streamed = peak_bytes(
+        lambda: cli.run_config_dict(RING30),
+        lambda: cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]),
+    )
     assert streamed < kept / 4
+
+
+def test_sweep_point_keeps_no_trace():
+    rows = []
+    kept, point = peak_bytes(
+        lambda: rows.append(cli.run_config_dict(RING30).summary()),
+        lambda: rows.append(cli._sweep_point({"config": RING30, "f": 1, "l": 1})),
+    )
+    summary, row = rows
+    assert row[-4:] == [summary["rounds_elapsed"], summary["dispersed"], summary["max_memory_bits"], ""]
+    assert point < kept / 10
+
+
+def test_importing_the_cli_leaves_out_what_only_sweep_uses():
+    code = "import sys, dispersim.cli; print(sorted({'csv', 'multiprocessing'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_arbitrary_run_with_knowledge_override(tmp_path):
@@ -397,7 +426,7 @@ def test_sweep_jobs_outside_cpu_count_is_config_error(tmp_path, capsys, monkeypa
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     cfg = str(SAMPLE_CONFIGS / "sweep_rings.json")
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", str(jobs)]) == 2
     assert capsys.readouterr().err.startswith("config error:")

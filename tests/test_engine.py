@@ -4,7 +4,8 @@ predicate, memory accounting, determinism."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+import pickle
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import pytest
 
@@ -251,6 +252,19 @@ def test_event_line_is_canonical_json(payload):
         {"round": 7, "robot": 2, "kind": "move", "payload": payload}, sort_keys=True, separators=(",", ":")
     )
     assert engine.event_line(event) == expected
+
+
+def test_trace_event_is_one_slotted_value():
+    event = engine.TraceEvent(7, 2, "move", {"node": 3, "entry": 0})
+    assert not hasattr(event, "__dict__")
+    assert event == engine.TraceEvent(7, 2, "move", {"node": 3, "entry": 0})
+    assert replace(event, round=8) == engine.TraceEvent(8, 2, "move", {"node": 3, "entry": 0}) != event
+    assert pickle.loads(pickle.dumps(event)) == event
+    assert hash(engine.TraceEvent(1, 2, "wait")) == hash((1, 2, "wait", None))
+    with pytest.raises(TypeError):
+        hash(event)  # a dict payload is unhashable
+    with pytest.raises(FrozenInstanceError):
+        event.round = 8
 
 
 def test_all_crash_round_one_vacuously_dispersed():

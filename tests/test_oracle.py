@@ -258,6 +258,25 @@ def test_report_json_fields():
     }
 
 
+def test_enumeration_examples_list_each_problem_of_the_per_run_check_once():
+    # ROADMAP item 1's case 2 as a faults.exhaustive config: 6 of its 810 schedules fail
+    g = graphs.random_connected(9, 13, 5)
+    ids = list(range(1, 10))
+    placement = {i: 1 for i in ids}
+    factory = lambda: RootedDispersion(ids, g.max_degree())
+    judged = {}
+
+    def check(result, schedule):
+        judged[schedule.entries] = oracle.run_monitors(result, factory(), g)
+        return judged[schedule.entries]
+
+    report = oracle.enumerate_adversary(g, placement, factory, f=1, horizon=90, per_run_check=check)
+    assert (report.schedules_tested, report.failures) == (810, 6)
+    assert len(report.failure_examples) == 5
+    for example in report.failure_examples:
+        assert example["problems"] == judged[tuple(example["schedule"])]
+
+
 def test_fuzz_500_random_rooted_trials_stay_in_bounds():
     import random
 
