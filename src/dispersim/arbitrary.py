@@ -11,9 +11,10 @@ boundary every pointer resets, which confines crash damage to its phase.
 At a node of degree >= k the cluster switches to a port-by-port neighborhood
 sweep that settles everyone within 2*degree+1 rounds.
 
-Per robot-step cost: a settled robot only ticks its counter, and the facts
-of a node (its settled robot, its unsettled ids, each priority's leader) are
-computed once per node per round, not once per robot there.
+Per robot-step cost: a settled robot only ticks its counter, which ``idle``
+gives the engine without a view or a transition outside reset rounds, and
+the facts of a node (its settled robot, its unsettled ids, each priority's
+leader) are computed once per node per round, not once per robot there.
 """
 
 from __future__ import annotations
@@ -44,17 +45,28 @@ class ArbitraryCore:
 _new_core = object.__new__
 
 
-def _evolve(core: ArbitraryCore, changes: dict) -> ArbitraryCore:
-    """``dataclasses.replace(core, **changes)`` without the generated
-    ``__init__``: a copy of the frozen core's field dict with the changes
-    applied, several times cheaper.  Valid while ArbitraryCore has no slots,
-    no __post_init__ and no init=False fields; engine write arbitration
-    still uses ``replace``."""
+def _tick(core: ArbitraryCore, changes: dict | None = None) -> tuple[ArbitraryCore, dict]:
+    """One round's core and action note: ``dataclasses.replace(core,
+    **changes)`` with the counter ticked down, and the note that the robot's
+    action event carries.  The core is a copy of the frozen core's field
+    dict with the changes applied, not a call of the generated
+    ``__init__``, which is several times cheaper; valid while ArbitraryCore
+    has no slots, no __post_init__ and no init=False fields.  Engine write
+    arbitration still uses ``replace``."""
     new = _new_core(ArbitraryCore)
     fields = new.__dict__
     fields.update(core.__dict__)
-    fields.update(changes)
-    return new
+    if changes:
+        fields.update(changes)
+    counter = fields["counter"] = core.counter - 1
+    note = {
+        "cid": fields["cid"],
+        "pri": fields["priority"],
+        "counter": counter,
+        "phase": fields["phase_index"],
+        "waiting": fields["waiting"],
+    }
+    return new, note
 
 
 class ArbitraryDispersion:
@@ -109,6 +121,13 @@ class ArbitraryDispersion:
     def memory_bits(self, state: RobotState) -> int:
         """Every field has a fixed width, so every state costs the same."""
         return self._memory_bits
+
+    def idle(self, state: RobotState):
+        """A settled robot's round without its view: outside a reset round it
+        only ticks its counter, exactly as ``transition`` would, so this is
+        ``(core, note)`` of that Decision; in a reset round, None."""
+        core: ArbitraryCore = state.core
+        return _tick(core) if core.counter else None
 
     # -- transition ----------------------------------------------------------
     def transition(self, state: RobotState, view: LocalView) -> Decision:
@@ -191,17 +210,8 @@ class ArbitraryDispersion:
     def _finish(
         self, core: ArbitraryCore, action: str, port: int = 0, writes=(), events=(), extra_note=None, **changes
     ) -> Decision:
-        """The decision, with ``changes`` and this round's counter tick
-        applied to ``core`` in one construction."""
-        changes["counter"] = core.counter - 1
-        new = _evolve(core, changes)
-        note = {
-            "cid": new.cid,
-            "pri": new.priority,
-            "counter": new.counter,
-            "phase": new.phase_index,
-            "waiting": new.waiting,
-        }
+        """The decision, with ``changes`` applied to ``core`` by ``_tick``."""
+        new, note = _tick(core, changes)
         if extra_note:
             note.update(extra_note)
         return Decision(new, action, port, tuple(writes), tuple(events), note, new.priority or 0)

@@ -7,6 +7,15 @@ robots, (4) writes apply under deterministic arbitration, (5) actions apply
 simultaneously.  Locality and anonymity are enforced structurally: a
 LocalView carries a degree, the robot's own entry port and co-located robot
 states -- never a node index.
+
+Idle lane: a protocol may define ``idle(state) -> (core, note) | None``.
+``step`` offers it each alive settled robot, with that robot's own state
+only, before building the robot's view.  When it answers, the robot waits:
+the engine stores ``core`` as its new core (writes from co-located robots
+still land on top of it), clears its entry port and emits its ``wait``
+event with payload ``node``, ``entry`` and then ``note``, without a view, a
+transition or a Decision.  ``None`` sends the robot through ``transition``,
+which must give the same round for every view wherever ``idle`` answers.
 """
 
 from __future__ import annotations
@@ -180,13 +189,27 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
         by_node.setdefault(locations[rid], []).append(states[rid])
     co_located = {node: tuple(group) for node, group in by_node.items()}
 
-    # 3. transitions (pure; evaluation order is irrelevant to outcomes)
+    # 3. transitions (pure; evaluation order is irrelevant to outcomes).  An
+    # idle-lane robot's core is stored here, so stage 4's writes land on top.
     transition = protocol.transition
+    idle = getattr(protocol, "idle", None)
     degree = graph.degree
     decisions: dict[int, Decision] = {}
     for rid in alive:
         node = locations[rid]
-        decisions[rid] = transition(states[rid], LocalView(degree(node), entry_ports[rid], co_located[node]))
+        st = states[rid]
+        if idle is not None and st.settled:
+            tick = idle(st)
+            if tick is not None:
+                core, note = tick
+                states[rid] = RobotState(rid, True, True, core)
+                payload = {"node": node, "entry": entry_ports[rid]}
+                if note:
+                    payload.update(note)
+                entry_ports[rid] = 0
+                events.append(TraceEvent(rnd, rid, "wait", payload))
+                continue
+        decisions[rid] = transition(st, LocalView(degree(node), entry_ports[rid], co_located[node]))
 
     # 4. self-updates first, then external writes on top (arbitrated)
     for rid, dec in decisions.items():
@@ -210,8 +233,7 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
         states[target] = RobotState(st.id, st.alive, st.settled, replace(st.core, **{fname: value}))
 
     # 5. simultaneous actions
-    for rid in alive:
-        dec = decisions[rid]
+    for rid, dec in decisions.items():
         node = locations[rid]
         payload = {"node": node, "entry": entry_ports[rid]}
         if dec.note:

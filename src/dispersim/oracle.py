@@ -177,11 +177,16 @@ class CounterFold:
         self.found: list[int] = []
 
     def feed(self, events):
-        per_round: dict[int, set[int]] = {}
+        """Each round's first counter is kept; a later unequal one flags the round."""
+        first: dict[int, int] = {}
+        flagged: set[int] = set()
         for e in events:
             if e.kind in ACTION_KINDS and e.payload and "counter" in e.payload:
-                per_round.setdefault(e.round, set()).add(e.payload["counter"])
-        self.found += sorted(rnd for rnd, vals in per_round.items() if len(vals) > 1)
+                counter = e.payload["counter"]
+                seen = first.setdefault(e.round, counter)
+                if seen != counter:
+                    flagged.add(e.round)
+        self.found += sorted(flagged)
         return self
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersim import cli, engine, graph as graphs, oracle
-from dispersim.arbitrary import ArbitraryCore, ArbitraryDispersion, _evolve
+from dispersim.arbitrary import ArbitraryCore, ArbitraryDispersion, _tick
 from dispersim.engine import (
     MOVE,
     SETTLE,
@@ -461,11 +461,14 @@ def test_field_strategy_covers_every_core_field():
 
 @settings(max_examples=300, deadline=None)
 @given(_field_values, _field_values, st.sets(st.sampled_from(CORE_FIELDS)))
-def test_evolve_equals_dataclasses_replace(base, other, changed):
+def test_tick_equals_dataclasses_replace(base, other, changed):
     core = ArbitraryCore(**base)
     changes = {name: other[name] for name in changed}
-    fast, slow = _evolve(core, changes), replace(core, **changes)
+    fast, note = _tick(core, changes)
+    slow = replace(core, **{**changes, "counter": core.counter - 1})
     assert type(fast) is ArbitraryCore
+    assert note == {"cid": slow.cid, "pri": slow.priority, "counter": slow.counter, "phase": slow.phase_index,
+                    "waiting": slow.waiting}
     assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
     assert core == ArbitraryCore(**base)  # the source core is untouched
     with pytest.raises(FrozenInstanceError):
@@ -500,6 +503,92 @@ def test_node_facts_with_interleaved_nodes_match_a_fresh_protocol():
         assert len(shared._facts) <= k
         world, _ = engine.step(world, g, shared, CrashSchedule())
     assert crowded_rounds > 0
+
+
+# -- the engine's idle lane: a settled robot's counter tick without a view ---------------
+
+
+class NoLane(ArbitraryDispersion):
+    """The same protocol with the lane off: every robot goes through ``transition``."""
+
+    idle = None
+
+
+_views = st.builds(
+    LocalView,
+    st.integers(1, 6),
+    st.integers(0, 6),
+    st.lists(
+        st.builds(lambda rid, settled, core: fabricate(rid, settled, **core), st.integers(1, 9), st.booleans(),
+                  _field_values),
+        max_size=4,
+    ).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_values, _views)
+def test_idle_is_the_settled_transition_without_its_view(core_fields, view):
+    proto = ArbitraryDispersion([[1, 2, 3], [4, 5]], 12, 6, faults=1)
+    state = fabricate(3, True, **core_fields)
+    tick = proto.idle(state)
+    if state.core.counter == 0:
+        assert tick is None
+        return
+    dec = proto.transition(state, view)
+    assert tick == (dec.core, dec.note)
+    # what the engine writes for an idle robot is all the Decision carries
+    assert (dec.action, dec.port, dec.writes, dec.events) == (STAY, 0, (), ())
+
+
+def _lane_and_no_lane(g, placement, args, kwargs, schedule):
+    lane = run(g, placement, ArbitraryDispersion(*args, **kwargs), schedule)
+    plain = run(g, placement, NoLane(*args, **kwargs), schedule)
+    assert lane.trace_hash == plain.trace_hash
+    assert lane.summary() == plain.summary()
+    assert lane.world == plain.world  # states, locations, entry ports and kept trace
+
+
+@pytest.mark.parametrize(
+    "index", [i for i, cfg in enumerate(oracle.determinism_configs()) if cfg["protocol"] == "arbitrary"]
+)
+def test_idle_lane_runs_equal_runs_without_it(index):
+    sc = cli.Scenario.from_config(oracle.determinism_configs()[index])
+    _lane_and_no_lane(sc.graph, sc.placement, sc.factory.args, sc.factory.keywords, sc.schedule)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 12), st.integers(0, 6), st.integers(0, 10**6), st.integers(1, 3), st.integers(0, 2), st.data()
+)
+def test_idle_lane_on_drawn_clustered_configs(n, extra_edges, seed, l, f, data):
+    g = graphs.random_connected(n, min(n - 1 + extra_edges, n * (n - 1) // 2), seed)
+    k = data.draw(st.integers(max(l, f + 1), n), label="k")
+    clusters = cli.default_clusters(n, list(range(1, k + 1)), l)
+    placement = {rid: node for node, grp in clusters for rid in grp}
+    args = ([grp for _, grp in clusters], g.edge_count, g.max_degree())
+    budget = ArbitraryDispersion(*args, faults=f).round_budget
+    schedule = oracle.random_schedule(random.Random(seed), sorted(placement), f, budget)
+    _lane_and_no_lane(g, placement, args, {"faults": f}, schedule)
+
+
+def test_adoption_writes_land_on_top_of_an_idle_tick():
+    # determinism config 6 (l=2, f=1), round 2: cluster 5 adopts robot 2,
+    # which cluster 4 settled in round 1, outside a reset
+    sc = cli.Scenario.from_config(oracle.determinism_configs()[6])
+    args, kwargs = sc.factory.args, sc.factory.keywords
+    lane = ArbitraryDispersion(*args, **kwargs)
+    one = run(sc.graph, sc.placement, lane, sc.schedule, max_rounds=1).world
+    settled = one.states[2]
+    assert settled.settled and settled.core.cid == 4 and settled.core.counter == 13
+    offered, _ = lane.idle(settled)
+    two, events = engine.step(one, sc.graph, lane, sc.schedule)
+    assert offered.cid == 4 and offered.counter == 12
+    assert two.states[2].core == replace(offered, cid=5, priority=5, parent=2)
+    wait = next(e for e in events if e.robot == 2)
+    assert (wait.kind, wait.payload["cid"], wait.payload["counter"]) == ("wait", 4, 12)
+    plain, plain_events = engine.step(one, sc.graph, NoLane(*args, **kwargs), sc.schedule)
+    assert (plain, plain_events) == (two, events)
 
 
 def _documented_bits(k, delta, m, l, f):

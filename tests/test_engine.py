@@ -149,17 +149,36 @@ def test_settled_robot_cannot_move():
         engine.step(world, g, protocol, CrashSchedule())
 
 
+def _steps_leave_unchanged(world, g, protocol, schedule):
+    """Step ``world`` twice: it must not change, and both steps must agree.  Returns one."""
+    before = (dict(world.states), dict(world.locations), dict(world.entry_ports), list(world.trace))
+    results = []
+    for _ in range(2):
+        results.append(engine.step(world, g, protocol, schedule))
+        assert (world.states, world.locations, world.entry_ports, world.trace) == before
+    assert results[0] == results[1]
+    return results[0]
+
+
 def test_step_leaves_its_input_world_unchanged():
     g = graphs.ring(6)
     ids = [1, 2, 3]
     protocol = RootedDispersion(ids, g.max_degree())
     schedule = CrashSchedule.from_pairs([(2, 4)])
     world = engine.run(g, {i: 1 for i in ids}, protocol, schedule, max_rounds=3).world
-    before = (dict(world.states), dict(world.locations), dict(world.entry_ports), list(world.trace))
-    for _ in range(2):
-        nxt, events = engine.step(world, g, protocol, schedule)
-        assert (world.states, world.locations, world.entry_ports, world.trace) == before
-        assert nxt.round == 4 and nxt.trace == [] and any(e.kind == "crash" for e in events)
+    nxt, events = _steps_leave_unchanged(world, g, protocol, schedule)
+    assert nxt.round == 4 and nxt.trace == [] and any(e.kind == "crash" for e in events)
+
+
+def test_step_leaves_its_input_arbitrary_world_unchanged_mid_phase():
+    # determinism config 6 after round 1: robot 2 is settled and mid-phase,
+    # so round 2 ticks it through the idle lane and an adopting cluster
+    # writes to it on top of that tick
+    sc = cli.Scenario.from_config(oracle.determinism_configs()[6])
+    world = engine.run(sc.graph, sc.placement, sc.protocol, sc.schedule, max_rounds=1).world
+    assert world.states[2].settled and world.states[2].core.counter > 0
+    nxt, events = _steps_leave_unchanged(world, sc.graph, sc.protocol, sc.schedule)
+    assert nxt.round == 2 and nxt.trace == [] and nxt.states[2].core.cid != world.states[2].core.cid
 
 
 @pytest.mark.parametrize("index", [1, 6], ids=["rooted-ring6-crash", "arbitrary-l2-crash"])
@@ -174,6 +193,84 @@ def test_kept_runs_from_one_snapshot_equal_the_full_run(index):
         assert rest.world.trace == full.world.trace
         assert rest.trace_hash == full.trace_hash
         assert len(head.world.trace) == head_events
+
+
+class IdleStub(StubProtocol):
+    """StubProtocol whose settled robots tick ``tag`` in the idle lane,
+    except those with an even tag, which it declines."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.offered: list[int] = []
+        self.computed: list[int] = []
+
+    def idle(self, state):
+        self.offered.append(state.id)
+        if state.core.tag % 2 == 0:
+            return None
+        return replace(state.core, tag=state.core.tag + 2), {"tick": state.core.tag}
+
+    def transition(self, state, view):
+        self.computed.append(state.id)
+        return super().transition(state, view)
+
+
+def test_step_offers_idle_to_settled_robots_only():
+    g = graphs.path(3)
+    protocol = IdleStub()
+    world = engine.initial_world(g, {1: 1, 2: 1, 3: 2, 4: 3}, protocol)
+    world.states[1] = replace(world.states[1], settled=True, core=StubCore(tag=1))
+    world.states[3] = replace(world.states[3], settled=True, core=StubCore(tag=4))
+    world.entry_ports[1] = 2  # a lane robot still reports, then clears, its entry port
+    nxt, events = engine.step(world, g, protocol, CrashSchedule())
+    assert protocol.offered == [1, 3]  # settled robots, in id order
+    assert protocol.computed == [2, 3, 4]  # robot 3's idle declined: it transitions
+    assert nxt.states[1] == RobotState(1, True, True, StubCore(tag=3))
+    assert nxt.entry_ports[1] == 0
+    assert [(e.robot, e.kind, e.payload) for e in events] == [
+        (2, "settle", {"node": 1, "entry": 0}),
+        (4, "settle", {"node": 3, "entry": 0}),
+        (1, "wait", {"node": 1, "entry": 2, "tick": 1}),
+        (3, "wait", {"node": 2, "entry": 0}),
+    ]
+
+
+def test_writes_land_on_top_of_an_idle_tick():
+    g = graphs.path(2)
+    writer = lambda s, v: Decision(s.core, STAY, writes=(Write(1, "port", 2),))
+    protocol = IdleStub(script={2: writer})
+    world = engine.initial_world(g, {1: 1, 2: 1}, protocol)
+    world.states[1] = replace(world.states[1], settled=True, core=StubCore(tag=1))
+    nxt, _ = engine.step(world, g, protocol, CrashSchedule())
+    assert protocol.computed == [2]
+    assert nxt.states[1].core == StubCore(tag=3, port=2)
+
+
+def test_step_without_idle_transitions_every_robot():
+    assert not hasattr(StubProtocol(), "idle")
+    g = graphs.path(3)
+    calls = []
+
+    def spy(state, view):
+        calls.append(state.id)
+        return Decision(state.core, STAY if state.settled else SETTLE)
+
+    # settled robots keep their core either way, so an idle that says so
+    # gives the same rounds as transitions that do
+    class SameIdle(StubProtocol):
+        def idle(self, state):
+            return state.core, None
+
+    runs = []
+    for protocol in (StubProtocol(script={1: spy, 2: spy, 3: spy}), SameIdle()):
+        world = engine.initial_world(g, {1: 1, 2: 2, 3: 3}, protocol)
+        rounds = []
+        for _ in range(3):
+            world, events = engine.step(world, g, protocol, CrashSchedule())
+            rounds.append((world, events))
+        runs.append(rounds)
+    assert calls == [1, 2, 3] * 3
+    assert runs[0] == runs[1]
 
 
 def test_local_view_carries_no_node_identity():

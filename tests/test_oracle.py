@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersim import graph as graphs, oracle
 from dispersim.arbitrary import ArbitraryDispersion
@@ -121,6 +123,36 @@ def test_counter_disagreement_monitor():
     assert oracle.counter_disagreements(ok) == []
     bad = ok + [TraceEvent(2, 2, "move", {"counter": 9})]
     assert oracle.counter_disagreements(bad) == [2]
+
+
+def _counter_rounds_by_sets(events):
+    """The monitor's definition: rounds whose action events carry more than one counter."""
+    per_round: dict[int, set] = {}
+    for e in events:
+        if e.kind in oracle.ACTION_KINDS and e.payload and "counter" in e.payload:
+            per_round.setdefault(e.round, set()).add(e.payload["counter"])
+    return sorted(rnd for rnd, vals in per_round.items() if len(vals) > 1)
+
+
+_round_events = st.lists(
+    st.tuples(
+        st.sampled_from(("move", "wait", "settle", "merge", "reset", "crash")),
+        st.none() | st.fixed_dictionaries({}, optional={"counter": st.integers(0, 3), "node": st.integers(1, 4)}),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_round_events, max_size=10), st.sets(st.integers(1, 9)))
+def test_counter_fold_equals_a_set_per_round(rounds, cuts):
+    events = [TraceEvent(rnd, rid, kind, payload) for rnd, evs in enumerate(rounds, 1)
+              for rid, (kind, payload) in enumerate(evs, 1)]
+    fold = oracle.CounterFold()
+    bounds = [0, *sorted(cuts), len(rounds)]
+    for lo, hi in zip(bounds, bounds[1:]):  # whole rounds lo+1..hi per chunk
+        fold.feed([e for e in events if lo < e.round <= hi])
+    assert fold.found == _counter_rounds_by_sets(events)
 
 
 def test_cluster_count_monitor_detects_synthetic_increase():
