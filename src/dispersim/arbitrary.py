@@ -108,11 +108,9 @@ class ArbitraryDispersion:
         # id, settled, cid, priority, parent, cdr, used, done, counter,
         # waiting, phase, forward, sweep port, sweep direction
         self._memory_bits = a + 1 + a + a + b + b + 1 + 1 + counter_bits + 1 + phase_bits + 1 + b + 1
-        # id(co-located tuple) -> (that tuple, its node facts); holding the
-        # tuple keeps its id from being reused while it is cached.  Robots of
-        # one node are not consecutive in the engine's id order, so one entry
-        # would rarely hit; at most k nodes hold robots in a round.
-        self._facts: dict[int, tuple] = {}
+        # the last co-located tuple seen and its facts (see _node_facts)
+        self._facts_of = None
+        self._facts = None
 
     def init_core(self, rid: int) -> ArbitraryCore:
         cid = self._home_cid[rid]
@@ -173,11 +171,10 @@ class ArbitraryDispersion:
     def _node_facts(self, co_located: tuple[RobotState, ...]):
         """(first settled robot, lowest and highest unsettled id, each
         unsettled priority's lowest id, the top priority, the highest one
-        below it) of one node; a pure function of the tuple, which every
-        robot at that node shares within a round."""
-        hit = self._facts.get(id(co_located))
-        if hit is not None and hit[0] is co_located:
-            return hit[1]
+        below it) of one node.  Kept for the last tuple seen: the engine
+        visits a node's robots consecutively, all with the same tuple."""
+        if co_located is self._facts_of:
+            return self._facts
         settled = None
         leaders: dict[int, int] = {}
         for s in co_located:
@@ -191,11 +188,9 @@ class ArbitraryDispersion:
         ids = [s.id for s in co_located if not s.settled]
         top = max(leaders, default=None)
         runner_up = max((p for p in leaders if p != top), default=None)
-        facts = (settled, min(ids, default=None), max(ids, default=None), leaders, top, runner_up)
-        if len(self._facts) >= self.k:
-            self._facts.clear()
-        self._facts[id(co_located)] = (co_located, facts)
-        return facts
+        self._facts = (settled, min(ids, default=None), max(ids, default=None), leaders, top, runner_up)
+        self._facts_of = co_located
+        return self._facts
 
     @staticmethod
     def _eff_settled(settled_here, reset_round):

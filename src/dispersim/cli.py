@@ -293,8 +293,9 @@ def cmd_replay(args) -> int:
     sc = Scenario.from_config(apply_seed_override(load_config(args.config), args.seed))
     out = Path(args.out)
     try:
-        stored_summary = (out / "summary.json").read_text()
-        stored_trace = open(out / "trace.jsonl", encoding="utf-8")
+        # compared as bytes, so a stored file that is not UTF-8 is a mismatch, not an error
+        stored_summary = (out / "summary.json").read_bytes()
+        stored_trace = open(out / "trace.jsonl", "rb")
     except OSError as exc:
         raise ConfigError(f"cannot read stored outputs: {exc}") from exc
     first_diff = None  # 1-based number of the first trace line that differs
@@ -305,13 +306,13 @@ def cmd_replay(args) -> int:
             nonlocal count, first_diff
             for line in lines:
                 count += 1
-                if first_diff is None and stored_trace.readline() != line:
+                if first_diff is None and stored_trace.readline() != line.encode():
                     first_diff = count
 
         fresh_summary = json.dumps(sc.run(trace_out=compare).summary(), sort_keys=True) + "\n"
         if first_diff is None and stored_trace.readline():
             first_diff = count + 1
-    if stored_summary != fresh_summary:
+    if stored_summary != fresh_summary.encode():
         print("REPLAY MISMATCH: summary differs", file=sys.stderr)
         return 1
     if first_diff is not None:

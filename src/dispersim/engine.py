@@ -1,21 +1,22 @@
 """Synchronous Communicate-Compute-Move round engine.
 
-Each round: (1) scheduled crashes take effect, (2) every alive robot gets a
-LocalView of its node, (3) the protocol's pure transition function maps
-(state, view) to a new core, an action and optional writes to co-located
-robots, (4) writes apply under deterministic arbitration, (5) actions apply
-simultaneously.  Locality and anonymity are enforced structurally: a
-LocalView carries a degree, the robot's own entry port and co-located robot
-states -- never a node index.
+Each round: (1) scheduled crashes take effect; (2) one pass over the alive
+robots, node by node: each robot gets a LocalView of its node, the
+protocol's pure transition function maps (state, view) to a new core, an
+action and optional writes to co-located robots, and the core, the events
+and the move take effect at once; (3) the writes apply under deterministic
+arbitration, on top of the new cores.  Every view is built from the states
+at the start of the round, so the pass is the simultaneous round of the
+model.  Locality and anonymity are enforced structurally: a LocalView
+carries a degree, the robot's own entry port and co-located robot states --
+never a node index.
 
 Idle lane: a protocol may define ``idle(state) -> (core, note) | None``.
 ``step`` offers it each alive settled robot, with that robot's own state
-only, before building the robot's view.  When it answers, the robot waits:
-the engine stores ``core`` as its new core (writes from co-located robots
-still land on top of it), clears its entry port and emits its ``wait``
-event with payload ``node``, ``entry`` and then ``note``, without a view, a
-transition or a Decision.  ``None`` sends the robot through ``transition``,
-which must give the same round for every view wherever ``idle`` answers.
+only, before building the robot's view.  An answer is a STAY with that core
+and note: the robot waits, without a view, a transition or a Decision.
+``None`` sends the robot through ``transition``, which must give the same
+round for every view wherever ``idle`` answers.
 """
 
 from __future__ import annotations
@@ -166,14 +167,19 @@ def initial_world(graph: PortGraph, placement: dict[int, int], protocol) -> Worl
 
 
 def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule) -> tuple[WorldState, list[TraceEvent]]:
-    """Advance one round: the next world (its trace empty) and the round's events.  ``world`` is unchanged."""
+    """Advance one round: the next world (its trace empty) and the round's events.  ``world`` is unchanged.
+
+    Crashes first; then one pass over the alive robots, node by node (nodes
+    in order of their lowest robot id, robots in id order), in which each
+    robot computes from its node's start-of-round states and its new core,
+    its events and its move take effect at once; then the collected writes."""
     rnd = world.round + 1
     states = dict(world.states)
     locations = dict(world.locations)
     entry_ports = dict(world.entry_ports)
     events: list[TraceEvent] = []
 
-    # 1. crashes at the start of the round: the adversarially strongest choice
+    # crashes at the start of the round: the adversarially strongest choice
     for rid in schedule.victims_at(rnd):
         st = states.get(rid)
         if st is not None and st.alive:
@@ -182,75 +188,59 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
             locations[rid] = None
             entry_ports[rid] = 0
 
-    # 2. local views: every robot at a node shares one co-located tuple
-    alive = [rid for rid in sorted(states) if states[rid].alive]
     by_node: dict[int, list[RobotState]] = {}
-    for rid in alive:
-        by_node.setdefault(locations[rid], []).append(states[rid])
-    co_located = {node: tuple(group) for node, group in by_node.items()}
+    for rid in sorted(states):
+        st = states[rid]
+        if st.alive:
+            by_node.setdefault(locations[rid], []).append(st)
 
-    # 3. transitions (pure; evaluation order is irrelevant to outcomes).  An
-    # idle-lane robot's core is stored here, so stage 4's writes land on top.
+    # one pass, node by node.  Every robot of a node shares one co-located
+    # tuple of start-of-round states, so storing a robot's new core, or
+    # moving it, changes no view; writes wait for the arbitration below.
     transition = protocol.transition
     idle = getattr(protocol, "idle", None)
-    degree = graph.degree
-    decisions: dict[int, Decision] = {}
-    for rid in alive:
-        node = locations[rid]
-        st = states[rid]
-        if idle is not None and st.settled:
-            tick = idle(st)
-            if tick is not None:
-                core, note = tick
-                states[rid] = RobotState(rid, True, True, core)
-                payload = {"node": node, "entry": entry_ports[rid]}
-                if note:
-                    payload.update(note)
-                entry_ports[rid] = 0
-                events.append(TraceEvent(rnd, rid, "wait", payload))
-                continue
-        decisions[rid] = transition(st, LocalView(degree(node), entry_ports[rid], co_located[node]))
-
-    # 4. self-updates first, then external writes on top (arbitrated)
-    for rid, dec in decisions.items():
-        st = states[rid]
-        if st.settled and dec.action == MOVE:
-            raise EngineError(f"settled robot {rid} attempted to move")
-        states[rid] = RobotState(st.id, st.alive, st.settled or dec.action == SETTLE, dec.core)
-
     contested: dict[tuple[int, str], list[tuple[int, int, object]]] = {}
-    for rid, dec in decisions.items():
-        if not dec.writes:
-            continue
-        here = {s.id for s in co_located[locations[rid]]}
-        for w in dec.writes:
-            if w.target not in here:
-                raise WriteToNonCoLocated(f"robot {rid} wrote to non-co-located robot {w.target}")
-            contested.setdefault((w.target, w.field), []).append((dec.writer_priority, rid, w.value))
+    for node, group in by_node.items():
+        here = tuple(group)
+        degree = graph.degree(node)
+        for st in here:
+            rid = st.id
+            tick = idle(st) if idle is not None and st.settled else None
+            if tick is None:
+                dec = transition(st, LocalView(degree, entry_ports[rid], here))
+                core, action, note = dec.core, dec.action, dec.note
+                if st.settled and action == MOVE:
+                    raise EngineError(f"settled robot {rid} attempted to move")
+                if dec.writes:
+                    ids = {s.id for s in here}
+                    for w in dec.writes:
+                        if w.target not in ids:
+                            raise WriteToNonCoLocated(f"robot {rid} wrote to non-co-located robot {w.target}")
+                        contested.setdefault((w.target, w.field), []).append((dec.writer_priority, rid, w.value))
+                for kind, extra in dec.events:
+                    events.append(TraceEvent(rnd, rid, kind, {"node": node, **extra}))
+            else:
+                core, note = tick  # an idle answer is a STAY
+                action = STAY
+            states[rid] = RobotState(rid, True, st.settled or action == SETTLE, core)
+            payload = {"node": node, "entry": entry_ports[rid]}
+            if note:
+                payload.update(note)
+            if action == MOVE:
+                if not 1 <= dec.port <= degree:
+                    raise InvalidMovePort(f"robot {rid} chose port {dec.port} at a degree-{degree} node")
+                locations[rid], entry_ports[rid] = graph.neighbor(node, dec.port)
+                payload["port"] = dec.port
+                events.append(TraceEvent(rnd, rid, "move", payload))
+            else:
+                entry_ports[rid] = 0
+                events.append(TraceEvent(rnd, rid, "settle" if action == SETTLE else "wait", payload))
+
+    # writes land on top of their targets' new cores, the strongest writer per field
     for (target, fname), writers in contested.items():
         _, _, value = max(writers, key=lambda t: (t[0], t[1]))
         st = states[target]
         states[target] = RobotState(st.id, st.alive, st.settled, replace(st.core, **{fname: value}))
-
-    # 5. simultaneous actions
-    for rid, dec in decisions.items():
-        node = locations[rid]
-        payload = {"node": node, "entry": entry_ports[rid]}
-        if dec.note:
-            payload.update(dec.note)
-        for kind, extra in dec.events:
-            events.append(TraceEvent(rnd, rid, kind, {"node": node, **extra}))
-        if dec.action == MOVE:
-            if not 1 <= dec.port <= degree(node):
-                raise InvalidMovePort(f"robot {rid} chose port {dec.port} at a degree-{degree(node)} node")
-            dest, q = graph.neighbor(node, dec.port)
-            locations[rid] = dest
-            entry_ports[rid] = q
-            payload["port"] = dec.port
-            events.append(TraceEvent(rnd, rid, "move", payload))
-        else:
-            entry_ports[rid] = 0
-            events.append(TraceEvent(rnd, rid, "settle" if dec.action == SETTLE else "wait", payload))
 
     events.sort(key=lambda e: (KIND_ORDER[e.kind], e.robot))
     return WorldState(rnd, states, locations, entry_ports), events

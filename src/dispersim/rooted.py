@@ -166,8 +166,14 @@ class RootedDispersion:
         self.max_degree = max_degree
         self.rank = {rid: i for i, rid in enumerate(ids, start=1)}
         self.round_budget = 7 * self.k * self.k
-        # The engine hands every robot at a node the same co-located tuple,
-        # so the node's facts are computed once per tuple (see _node_facts).
+        a = ceil(log2(self.k + 1))
+        b = ceil(log2(self.max_degree + 2))
+        clock = ceil(log2(3 * self.k + 1))
+        # id, settled, mode, parent, cdr, used, done, rounds_out; a waiting
+        # robot adds the epoch clock and the active rank
+        self._base_bits = a + 1 + 2 + b + b + 1 + 1 + clock
+        self._at_root_bits = self._base_bits + clock + a
+        # the last co-located tuple seen and its facts (see _node_facts)
         self._facts_of = None
         self._facts = None
 
@@ -178,13 +184,9 @@ class RootedDispersion:
         """Documented encoding: id in [0,k], ports in [0, delta+1] (0 = null),
         a 2-bit mover mode (settled is carried by the settled flag), and the
         budget clock in [0, 3k]."""
-        a = ceil(log2(self.k + 1))
-        b = ceil(log2(self.max_degree + 2))
-        clock = ceil(log2(3 * self.k + 1))
-        bits = a + 1 + 2 + b + b + 1 + 1 + clock  # id, settled, mode, parent, cdr, used, done, rounds_out
         if isinstance(state.core, RootedCore) and state.core.mode == AT_ROOT:
-            bits += clock + a  # epoch clock + active rank
-        return bits
+            return self._at_root_bits
+        return self._base_bits
 
     # -- transition --------------------------------------------------------
     def transition(self, state: RobotState, view: LocalView) -> Decision:
@@ -225,8 +227,8 @@ class RootedDispersion:
     def _node_facts(self, co_located: tuple[RobotState, ...]):
         """(first settled robot, lowest unsettled id, waiting pool in view
         order, the pool's sorted ranks) of one node; the pool is the unsettled
-        robots in AT_ROOT mode.  Kept for the last tuple seen, which every
-        robot at that node shares within a round."""
+        robots in AT_ROOT mode.  Kept for the last tuple seen: the engine
+        visits a node's robots consecutively, all with the same tuple."""
         if co_located is not self._facts_of:
             settled = None
             lowest = None

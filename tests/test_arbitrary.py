@@ -418,18 +418,11 @@ def test_phase_root_with_early_crash_in_corpus_graph():
 def test_single_crash_up_to_fault_free_stop_on_phase_root_graphs():
     for name in ("rand13m26s43", "rand17m29s13"):
         g, placement, factory = _corpus_instance(name, 1)
-        phase_len = factory().phase_len
         stop = run(g, placement, factory()).rounds_elapsed
-
-        def check(result, schedule):
-            problems = []
-            if oracle.counter_disagreements(result.world.trace):
-                problems.append("counter disagreement")
-            if oracle.cluster_count_regressions(result.world.trace, phase_len):
-                problems.append("cluster count increased")
-            return problems
-
-        report = oracle.enumerate_adversary(g, placement, factory, f=1, horizon=stop, per_run_check=check)
+        report = oracle.enumerate_adversary(
+            g, placement, factory, f=1, horizon=stop,
+            per_run_check=lambda result, schedule: oracle.run_monitors(result, factory(), g),
+        )
         assert report.schedules_tested == len(placement) * stop
         assert report.failures == 0, f"{name}: {report.failure_examples[:1]}"
 

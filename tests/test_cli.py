@@ -109,6 +109,20 @@ def test_replay_reports_the_first_differing_trace_line(tmp_path, capsys, tamper,
     assert capsys.readouterr().err == f"REPLAY MISMATCH: trace differs at line {expected}\n"
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [("trace.jsonl", "trace differs at line 1"), ("summary.json", "summary differs")],
+)
+def test_replay_of_a_stored_file_that_is_not_utf8_is_a_mismatch(tmp_path, capsys, name, message):
+    cfg = write_config(tmp_path, "cfg.json", ROOTED_RING3)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    (out / name).write_bytes(b"\xff\xfe garbage\n")
+    capsys.readouterr()
+    assert cli.main(["replay", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"REPLAY MISMATCH: {message}\n"
+
+
 def test_run_that_raises_midway_leaves_the_previous_outputs(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "cfg.json", ROOTED_RING3)
     out = tmp_path / "out"

@@ -273,6 +273,74 @@ def test_step_without_idle_transitions_every_robot():
     assert runs[0] == runs[1]
 
 
+def test_step_visits_robots_node_by_node_with_one_shared_tuple():
+    g = graphs.path(3)
+    protocol = StubProtocol()
+    calls = []
+
+    def spy(state, view):
+        calls.append((state.id, view.co_located))
+        return Decision(state.core, STAY)
+
+    protocol.transition = spy
+    world = engine.initial_world(g, {1: 1, 2: 2, 3: 1, 4: 3, 5: 2}, protocol)
+    engine.step(world, g, protocol, CrashSchedule())
+    # nodes in order of their lowest robot id, robots of a node in id order
+    assert [rid for rid, _ in calls] == [1, 3, 2, 5, 4]
+    tuples = [here for _, here in calls]
+    assert tuples[0] is tuples[1] and tuples[2] is tuples[3]
+    assert [[s.id for s in here] for here in tuples] == [[1, 3], [1, 3], [2, 5], [2, 5], [4]]
+
+
+def test_write_lands_on_a_target_visited_after_its_writer():
+    # robot 1 writes to robot 2 before robot 2's own transition changes its core
+    g = graphs.path(2)
+    protocol = StubProtocol(
+        script={
+            1: lambda s, v: Decision(s.core, STAY, writes=(Write(2, "port", 2),)),
+            2: lambda s, v: Decision(replace(s.core, tag=5), STAY),
+        }
+    )
+    world = engine.initial_world(g, {1: 1, 2: 1}, protocol)
+    nxt, _ = engine.step(world, g, protocol, CrashSchedule())
+    assert nxt.states[2].core == StubCore(tag=5, port=2)
+
+
+def test_round_with_crash_idle_lane_and_moves():
+    # robot 1 crashes; robot 2 ticks in the idle lane while robot 3 writes to
+    # it and moves; robot 4 declines the lane and robot 5 writes to it and moves
+    g = graphs.path(3)
+    protocol = IdleStub(
+        script={
+            3: lambda s, v: Decision(s.core, MOVE, port=1, writes=(Write(2, "port", 1),)),
+            5: lambda s, v: Decision(s.core, MOVE, port=2, writes=(Write(4, "tag", 8),)),
+        }
+    )
+    world = engine.initial_world(g, {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}, protocol)
+    world.states[2] = replace(world.states[2], settled=True, core=StubCore(tag=1))
+    world.states[4] = replace(world.states[4], settled=True, core=StubCore(tag=2))
+    world.entry_ports[2] = 1
+    schedule = CrashSchedule.from_pairs([(1, 1)])
+    nxt, events = _steps_leave_unchanged(world, g, protocol, schedule)
+    assert protocol.offered == [2, 4] * 2 and protocol.computed == [3, 4, 5] * 2
+    assert [(e.round, e.robot, e.kind, e.payload) for e in events] == [
+        (1, 1, "crash", {"node": 1}),
+        (1, 3, "move", {"node": 1, "entry": 0, "port": 1}),
+        (1, 5, "move", {"node": 2, "entry": 0, "port": 2}),
+        (1, 2, "wait", {"node": 1, "entry": 1, "tick": 1}),
+        (1, 4, "wait", {"node": 2, "entry": 0}),
+    ]
+    assert nxt.states == {
+        1: RobotState(1, False, False, StubCore()),
+        2: RobotState(2, True, True, StubCore(tag=3, port=1)),
+        3: RobotState(3, True, False, StubCore()),
+        4: RobotState(4, True, True, StubCore(tag=8)),
+        5: RobotState(5, True, False, StubCore()),
+    }
+    assert nxt.locations == {1: None, 2: 1, 3: 2, 4: 2, 5: 3}
+    assert nxt.entry_ports == {1: 0, 2: 0, 3: 1, 4: 0, 5: 1}
+
+
 def test_local_view_carries_no_node_identity():
     assert {f.name for f in fields(LocalView)} == {"degree", "entry_port", "co_located"}
     assert {f.name for f in fields(RobotState)} == {"id", "alive", "settled", "core"}

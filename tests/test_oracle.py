@@ -344,17 +344,9 @@ def test_exhaustive_double_crash_small_instances():
         factory = lambda ids=ids, g=g: RootedDispersion(ids, g.max_degree())
         fault_free = run(g, {i: 1 for i in ids}, factory())
         horizon = fault_free.rounds_elapsed + 12
-
-        def check(result, schedule):
-            problems = []
-            if oracle.one_mover_violations(result.world.trace):
-                problems.append("one-mover")
-            if oracle.loop_violations(result.world.trace):
-                problems.append("loop")
-            return problems
-
         report = oracle.enumerate_adversary(
-            g, {i: 1 for i in ids}, factory, f=2, horizon=horizon, per_run_check=check
+            g, {i: 1 for i in ids}, factory, f=2, horizon=horizon,
+            per_run_check=lambda result, schedule: oracle.run_monitors(result, factory(), g),
         )
         assert report.failures == 0
         assert report.schedules_tested == 3 * horizon**2

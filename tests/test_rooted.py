@@ -245,18 +245,9 @@ def test_every_root_choice_works():
             ff = run(g, {i: root for i in ids}, factory())
             assert ff.dispersed
             assert {ff.world.locations[r] for r in ids} == oracle.reference_first_k(g, root, 3)
-
-            def check(result, schedule):
-                problems = []
-                if oracle.one_mover_violations(result.world.trace):
-                    problems.append("one-mover")
-                if oracle.loop_violations(result.world.trace):
-                    problems.append("loop")
-                return problems
-
             report = oracle.enumerate_adversary(
-                g, {i: root for i in ids}, factory, f=1,
-                horizon=ff.rounds_elapsed + 10, per_run_check=check,
+                g, {i: root for i in ids}, factory, f=1, horizon=ff.rounds_elapsed + 10,
+                per_run_check=lambda result, schedule: oracle.run_monitors(result, factory(), g),
             )
             assert report.failures == 0
 
