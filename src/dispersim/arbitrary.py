@@ -11,10 +11,16 @@ boundary every pointer resets, which confines crash damage to its phase.
 At a node of degree >= k the cluster switches to a port-by-port neighborhood
 sweep that settles everyone within 2*degree+1 rounds.
 
-Per robot-step cost: a settled robot only ticks its counter, which ``idle``
-gives the engine without a view or a transition outside reset rounds, and
-the facts of a node (its settled robot, its unsettled ids, each priority's
-leader) are computed once per node per round, not once per robot there.
+Per robot-step cost: most steps are waits, and a wait is paid for once per
+cluster, not once per robot.  A settled robot only ticks its counter, which
+``idle`` gives the engine without a view or a transition outside reset
+rounds, with one note object for all settled robots of a cluster, so the
+engine writes their trace lines from one template.  The facts of a node
+(its settled robot, its unsettled ids, each priority's leader) are computed
+once per node per round, and a robot that does not lead its node gets the
+Decision of the node-mate decided just before it when their cores, settled
+flags and entry ports are equal: a cluster moving or parked as one unit is
+decided by its leader and one follower.
 """
 
 from __future__ import annotations
@@ -111,6 +117,12 @@ class ArbitraryDispersion:
         # the last co-located tuple seen and its facts (see _node_facts)
         self._facts_of = None
         self._facts = None
+        # (tuple, (degree, entry port, settled, core), Decision) of the last
+        # robot decided, unless it led its node (see transition)
+        self._last = (None, None, None)
+        # this round's counter and its idle notes, by (cid, priority, phase, waiting)
+        self._notes_counter = None
+        self._notes = {}
 
     def init_core(self, rid: int) -> ArbitraryCore:
         cid = self._home_cid[rid]
@@ -123,12 +135,50 @@ class ArbitraryDispersion:
     def idle(self, state: RobotState):
         """A settled robot's round without its view: outside a reset round it
         only ticks its counter, exactly as ``transition`` would, so this is
-        ``(core, note)`` of that Decision; in a reset round, None."""
+        ``(core, note)`` of that Decision; in a reset round, None.  Robots
+        whose notes are equal in a round (one cluster's settled robots) get
+        one note object, so the engine writes their lines from one template."""
         core: ArbitraryCore = state.core
-        return _tick(core) if core.counter else None
+        if not core.counter:
+            return None
+        new = _new_core(ArbitraryCore)
+        fields = new.__dict__
+        fields.update(core.__dict__)
+        counter = fields["counter"] = core.counter - 1
+        if counter != self._notes_counter:
+            self._notes_counter, self._notes = counter, {}
+        key = (core.cid, core.priority, core.phase_index, core.waiting)
+        note = self._notes.get(key)
+        if note is None:
+            note = self._notes[key] = {
+                "cid": core.cid, "pri": core.priority, "counter": counter, "phase": core.phase_index,
+                "waiting": core.waiting,
+            }
+        return new, note
 
     # -- transition ----------------------------------------------------------
     def transition(self, state: RobotState, view: LocalView) -> Decision:
+        """The robot's Decision.  It depends on the view, the robot's core and
+        settled flag, and on its id only through whether the robot leads its
+        node for its priority (settles there, or is the robot the others
+        write to).  So a robot that does not lead gets the Decision object of
+        the robot decided just before it, when that robot did not lead either
+        and had the same co-located tuple, degree, entry port and settled
+        flag, and an equal core."""
+        core: ArbitraryCore = state.core
+        here = view.co_located
+        if not state.settled and self._node_facts(here)[3].get(core.priority or 0) == state.id:
+            self._last = (None, None, None)
+            return self._decide(state, view)
+        key = (view.degree, view.entry_port, state.settled, core)
+        last_here, last_key, last_dec = self._last
+        if here is last_here and key == last_key:
+            return last_dec
+        dec = self._decide(state, view)
+        self._last = (here, key, dec)
+        return dec
+
+    def _decide(self, state: RobotState, view: LocalView) -> Decision:
         core: ArbitraryCore = state.core
         reset_round = core.counter == 0
         events = [("reset", {"phase": core.phase_index + 1, "counter": self.phase_len})] if reset_round else []

@@ -16,7 +16,10 @@ Idle lane: a protocol may define ``idle(state) -> (core, note) | None``.
 only, before building the robot's view.  An answer is a STAY with that core
 and note: the robot waits, without a view, a transition or a Decision.
 ``None`` sends the robot through ``transition``, which must give the same
-round for every view wherever ``idle`` answers.
+round for every view wherever ``idle`` answers.  One note object may answer
+for several robots, so a note must not change once returned; the lane
+writes the trace lines of a round's waits with one note from one template
+(``_wait_template``), and ``trace_hash`` takes them from ``RoundEvents``.
 """
 
 from __future__ import annotations
@@ -126,6 +129,17 @@ class TraceEvent:
     payload: dict | None = None
 
 
+class RoundEvents(list):
+    """One round's events from ``step``, with the lines its lane robots'
+    ``wait`` events already have: ``lines`` maps robot id -> line.  A robot
+    that takes the lane has no other event in its round."""
+
+    __slots__ = ("lines",)
+
+
+_new_object = object.__new__
+
+
 @dataclass
 class WorldState:
     round: int
@@ -200,28 +214,47 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
     transition = protocol.transition
     idle = getattr(protocol, "idle", None)
     contested: dict[tuple[int, str], list[tuple[int, int, object]]] = {}
+    written: dict[int, str] = {}  # lane robot id -> its wait line
+    templates: dict[int, tuple] = {}  # id(note) -> (note, its wait-line template)
     for node, group in by_node.items():
         here = tuple(group)
         degree = graph.degree(node)
         for st in here:
             rid = st.id
-            tick = idle(st) if idle is not None and st.settled else None
-            if tick is None:
-                dec = transition(st, LocalView(degree, entry_ports[rid], here))
-                core, action, note = dec.core, dec.action, dec.note
-                if st.settled and action == MOVE:
-                    raise EngineError(f"settled robot {rid} attempted to move")
-                if dec.writes:
-                    ids = {s.id for s in here}
-                    for w in dec.writes:
-                        if w.target not in ids:
-                            raise WriteToNonCoLocated(f"robot {rid} wrote to non-co-located robot {w.target}")
-                        contested.setdefault((w.target, w.field), []).append((dec.writer_priority, rid, w.value))
-                for kind, extra in dec.events:
-                    events.append(TraceEvent(rnd, rid, kind, {"node": node, **extra}))
-            else:
-                core, note = tick  # an idle answer is a STAY
-                action = STAY
+            if idle is not None and st.settled:
+                tick = idle(st)
+                if tick is not None:
+                    # a wait with no view: its state, its event and, from
+                    # its note's template, its trace line
+                    core, note = tick
+                    entry = entry_ports[rid]
+                    entry_ports[rid] = 0
+                    new = _new_object(RobotState)
+                    new.__dict__.update(id=rid, alive=True, settled=True, core=core)
+                    states[rid] = new
+                    payload = {"node": node, "entry": entry}
+                    if note:
+                        payload.update(note)
+                    events.append(TraceEvent(rnd, rid, "wait", payload))
+                    template = templates.get(id(note))
+                    if template is None:  # the note rides along, so its id stays its own
+                        template = templates[id(note)] = (note, _wait_template(note, rnd))
+                    if template[1] is not None:
+                        head, mid, tail, end = template[1]
+                        written[rid] = f"{head}{entry}{mid}{node}{tail}{rid}{end}"
+                    continue
+            dec = transition(st, LocalView(degree, entry_ports[rid], here))
+            core, action, note = dec.core, dec.action, dec.note
+            if st.settled and action == MOVE:
+                raise EngineError(f"settled robot {rid} attempted to move")
+            if dec.writes:
+                ids = {s.id for s in here}
+                for w in dec.writes:
+                    if w.target not in ids:
+                        raise WriteToNonCoLocated(f"robot {rid} wrote to non-co-located robot {w.target}")
+                    contested.setdefault((w.target, w.field), []).append((dec.writer_priority, rid, w.value))
+            for kind, extra in dec.events:
+                events.append(TraceEvent(rnd, rid, kind, {"node": node, **extra}))
             states[rid] = RobotState(rid, True, st.settled or action == SETTLE, core)
             payload = {"node": node, "entry": entry_ports[rid]}
             if note:
@@ -243,6 +276,9 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
         states[target] = RobotState(st.id, st.alive, st.settled, replace(st.core, **{fname: value}))
 
     events.sort(key=lambda e: (KIND_ORDER[e.kind], e.robot))
+    if written:
+        events = RoundEvents(events)
+        events.lines = written
     return WorldState(rnd, states, locations, entry_ports), events
 
 
@@ -265,6 +301,26 @@ def is_dispersed(world: WorldState, graph: PortGraph) -> bool:
 _ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True)
 
 
+_HOLE = "\x00"  # a wait template's stand-in for the entry port and the node
+_HOLE_TEXT = encode_basestring_ascii(_HOLE)
+
+
+def _wait_template(note: dict | None, rnd: int) -> tuple[str, str, str, str] | None:
+    """(head, mid, tail, end) such that ``head + entry + mid + node + tail +
+    robot + end`` is the ``event_line`` of round ``rnd``'s ``wait`` event
+    with payload ``{"node": node, "entry": entry, **note}``, plus its
+    newline.  None, and the line takes ``event_line``, when the note has an
+    ``entry`` or ``node`` key of its own or holds the stand-in's encoded
+    text itself."""
+    if note and ("entry" in note or "node" in note):
+        return None
+    pieces = "".join(_ENCODE({**(note or {}), "entry": _HOLE, "node": _HOLE}, 0)).split(_HOLE_TEXT)
+    if len(pieces) != 3:
+        return None
+    head, mid, tail = pieces
+    return '{"kind":"wait","payload":' + head, mid, tail + ',"robot":', f',"round":{rnd:d}}}\n'
+
+
 def event_line(event: TraceEvent) -> str:
     """One canonical JSON object: sorted keys, no spaces.  The outer object's
     four keys are written directly, in their sorted order."""
@@ -279,8 +335,16 @@ def trace_hash(trace: list[TraceEvent], out: list[str] | None = None, sha=None) 
     ``out`` when one is given, so a run's trace file is encoded only once;
     ``sha`` continues a running hash, so a streamed trace hashes chunk by
     chunk to the digest of the whole.  The digest is returned only when no
-    ``sha`` is given: its owner reads it once, when the trace is complete."""
+    ``sha`` is given: its owner reads it once, when the trace is complete.
+    A ``RoundEvents`` chunk takes the lines its lane robots already have."""
     h = hashlib.sha256() if sha is None else sha
+    if type(trace) is RoundEvents:
+        written = trace.lines
+        lines = [written.get(event.robot) or event_line(event) + "\n" for event in trace]
+        h.update("".join(lines).encode())
+        if out is not None:
+            out.extend(lines)
+        return h.hexdigest() if sha is None else None
     for event in trace:
         line = event_line(event) + "\n"
         h.update(line.encode())

@@ -20,6 +20,7 @@ from dispersim.engine import (
     LocalView,
     RobotState,
     WorldState,
+    Write,
     run,
 )
 
@@ -534,35 +535,45 @@ def test_idle_is_the_settled_transition_without_its_view(core_fields, view):
     assert (dec.action, dec.port, dec.writes, dec.events) == (STAY, 0, (), ())
 
 
-def _lane_and_no_lane(g, placement, args, kwargs, schedule):
-    lane = run(g, placement, ArbitraryDispersion(*args, **kwargs), schedule)
-    plain = run(g, placement, NoLane(*args, **kwargs), schedule)
-    assert lane.trace_hash == plain.trace_hash
-    assert lane.summary() == plain.summary()
-    assert lane.world == plain.world  # states, locations, entry ports and kept trace
+def _runs_equal(other, g, placement, args, kwargs, schedule, protocol=None):
+    """A run of ``protocol`` (by default a fresh ArbitraryDispersion) equals
+    one of the variant ``other``."""
+    ours = run(g, placement, protocol or ArbitraryDispersion(*args, **kwargs), schedule)
+    theirs = run(g, placement, other(*args, **kwargs), schedule)
+    assert ours.trace_hash == theirs.trace_hash
+    assert ours.summary() == theirs.summary()
+    assert ours.world == theirs.world  # states, locations, entry ports and kept trace
 
 
-@pytest.mark.parametrize(
-    "index", [i for i, cfg in enumerate(oracle.determinism_configs()) if cfg["protocol"] == "arbitrary"]
-)
+ARBITRARY_DETERMINISM = [i for i, cfg in enumerate(oracle.determinism_configs()) if cfg["protocol"] == "arbitrary"]
+
+
+@pytest.mark.parametrize("index", ARBITRARY_DETERMINISM)
 def test_idle_lane_runs_equal_runs_without_it(index):
     sc = cli.Scenario.from_config(oracle.determinism_configs()[index])
-    _lane_and_no_lane(sc.graph, sc.placement, sc.factory.args, sc.factory.keywords, sc.schedule)
+    _runs_equal(NoLane, sc.graph, sc.placement, sc.factory.args, sc.factory.keywords, sc.schedule)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(4, 12), st.integers(0, 6), st.integers(0, 10**6), st.integers(1, 3), st.integers(0, 2), st.data()
-)
-def test_idle_lane_on_drawn_clustered_configs(n, extra_edges, seed, l, f, data):
+@st.composite
+def _clustered_configs(draw):
+    """(graph, placement, protocol args, keywords, crash schedule) of a small
+    clustered run with up to two random crashes."""
+    n, extra_edges, seed = draw(st.integers(4, 12)), draw(st.integers(0, 6)), draw(st.integers(0, 10**6))
+    l, f = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     g = graphs.random_connected(n, min(n - 1 + extra_edges, n * (n - 1) // 2), seed)
-    k = data.draw(st.integers(max(l, f + 1), n), label="k")
+    k = draw(st.integers(max(l, f + 1), n), label="k")
     clusters = cli.default_clusters(n, list(range(1, k + 1)), l)
     placement = {rid: node for node, grp in clusters for rid in grp}
     args = ([grp for _, grp in clusters], g.edge_count, g.max_degree())
     budget = ArbitraryDispersion(*args, faults=f).round_budget
     schedule = oracle.random_schedule(random.Random(seed), sorted(placement), f, budget)
-    _lane_and_no_lane(g, placement, args, {"faults": f}, schedule)
+    return g, placement, args, {"faults": f}, schedule
+
+
+@settings(max_examples=40, deadline=None)
+@given(_clustered_configs())
+def test_idle_lane_on_drawn_clustered_configs(config):
+    _runs_equal(NoLane, *config)
 
 
 def test_adoption_writes_land_on_top_of_an_idle_tick():
@@ -582,6 +593,65 @@ def test_adoption_writes_land_on_top_of_an_idle_tick():
     assert (wait.kind, wait.payload["cid"], wait.payload["counter"]) == ("wait", 4, 12)
     plain, plain_events = engine.step(one, sc.graph, NoLane(*args, **kwargs), sc.schedule)
     assert (plain, plain_events) == (two, events)
+
+
+# -- shared decisions: a node-mate's Decision, when nothing else could differ ----------
+
+
+class Recompute(ArbitraryDispersion):
+    """The same protocol deciding every robot afresh: no Decision is shared."""
+
+    transition = ArbitraryDispersion._decide
+
+
+class SharingSpy(ArbitraryDispersion):
+    """Counts the robots that get the Decision object of the robot before."""
+
+    shared = 0
+    _previous = None
+
+    def transition(self, state, view):
+        dec = super().transition(state, view)
+        self.shared += dec is self._previous
+        self._previous = dec
+        return dec
+
+
+@pytest.mark.parametrize("index", ARBITRARY_DETERMINISM)
+def test_shared_decisions_equal_recomputed_ones(index):
+    sc = cli.Scenario.from_config(oracle.determinism_configs()[index])
+    args, kwargs = sc.factory.args, sc.factory.keywords
+    spy = SharingSpy(*args, **kwargs)
+    _runs_equal(Recompute, sc.graph, sc.placement, args, kwargs, sc.schedule, spy)
+    assert spy.shared > 0 or max(map(len, args[0])) <= 2  # a leader and one follower share nothing
+
+
+@settings(max_examples=40, deadline=None)
+@given(_clustered_configs())
+def test_shared_decisions_on_drawn_clustered_configs(config):
+    _runs_equal(Recompute, *config)
+
+
+def test_parked_followers_share_a_decision_and_the_leader_does_not():
+    # One round at an empty degree-3 node, in the engine's order with one
+    # tuple: cluster 5 (robots 3-5) meets the stronger cluster 9 (robots
+    # 7-9) and parks by merging, while robot 7 settles.  Robot 9 entered
+    # through another port than robot 8, so it leaves through another port.
+    proto = ArbitraryDispersion([[3, 4, 5], [7, 8, 9]], 12, 3, faults=1)
+    weak = dict(cid=5, priority=5, counter=9)
+    strong = dict(cid=9, priority=9, counter=9, forward=True)
+    here = tuple(fabricate(rid, False, **(weak if rid < 7 else strong)) for rid in (3, 4, 5, 7, 8, 9))
+    entry = {3: 1, 4: 1, 5: 1, 7: 1, 8: 1, 9: 2}
+    dec = {s.id: proto.transition(s, LocalView(3, entry[s.id], here)) for s in here}
+    for s in here:  # every Decision is the one a fresh protocol computes
+        assert dec[s.id] == ArbitraryDispersion([[3, 4, 5], [7, 8, 9]], 12, 3, faults=1).transition(
+            s, LocalView(3, entry[s.id], here)
+        )
+    assert dec[5] is dec[4] and dec[4].core.waiting and dec[4].events == (("merge", {"cid": 5}),)
+    assert dec[4] is not dec[3]  # robot 3 leads cluster 5 at this node
+    assert dec[7].action == SETTLE and dec[7] is not dec[5]
+    assert dec[8] is not dec[7] and dec[8].action == MOVE and dec[8].writes == (Write(7, "cdr_used", True),)
+    assert dec[9] is not dec[8] and (dec[8].port, dec[9].port) == (2, 1)
 
 
 def _documented_bits(k, delta, m, l, f):

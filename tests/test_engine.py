@@ -8,8 +8,11 @@ import pickle
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersim import cli, engine, graph as graphs, oracle
+from dispersim.arbitrary import ArbitraryDispersion
 from dispersim.engine import (
     MOVE,
     SETTLE,
@@ -21,6 +24,7 @@ from dispersim.engine import (
     Write,
 )
 from dispersim.rooted import AT_ROOT, RootedCore, RootedDispersion
+from reference_round import reference_step
 
 
 @dataclass(frozen=True)
@@ -444,3 +448,123 @@ def test_all_crash_round_one_vacuously_dispersed():
 def test_trace_event_order_within_round():
     order = [engine.KIND_ORDER[k] for k in ("crash", "repair", "settle", "merge", "reset", "move", "wait")]
     assert order == sorted(order)
+
+
+# -- the lane's wait lines, written from one template per note object ----------------
+
+
+def _canonical(event) -> str:
+    return json.dumps(
+        {"kind": event.kind, "payload": event.payload, "robot": event.robot, "round": event.round},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def _hashed_lines(events) -> list[str]:
+    lines: list[str] = []
+    engine.trace_hash(events, lines)
+    return lines
+
+
+class SharedNoteStub(StubProtocol):
+    """Settled robots wait in the idle lane, all with one note object."""
+
+    def __init__(self, note, **kw):
+        super().__init__(**kw)
+        self.note = note
+
+    def idle(self, state):
+        return state.core, self.note
+
+
+# keys before "entry" (a, b), between "entry" and "node" (f, g, m) and after "node" (o, z)
+SHARED_NOTE = {
+    "a": None,
+    "b": [1, [True, None], {"y": 0, "x": "\u00e9"}],
+    "f": True,
+    "g": 'a "quoted" back\\slash, caf\u00e9',
+    "m": False,
+    "o": 0,
+    "z": 1,
+}
+
+
+def _lane_round(note):
+    """Robots 1-4 settled on nodes 1-4 of a ring, entering through ports
+    0-3, and robot 5 unsettled on node 1; one step, every settled robot in
+    the lane."""
+    g = graphs.ring(5)
+    protocol = SharedNoteStub(note)
+    world = engine.initial_world(g, {1: 1, 2: 2, 3: 3, 4: 4, 5: 1}, protocol)
+    for rid in (1, 2, 3, 4):
+        world.states[rid] = replace(world.states[rid], settled=True)
+        world.entry_ports[rid] = rid - 1
+    return engine.step(world, g, protocol, CrashSchedule())[1]
+
+
+def test_lane_lines_from_one_template_are_canonical_json():
+    events = _lane_round(SHARED_NOTE)
+    lines = _hashed_lines(events)
+    assert [(e.robot, e.kind) for e in events] == [(5, "settle"), (1, "wait"), (2, "wait"), (3, "wait"), (4, "wait")]
+    assert lines == [_canonical(e) + "\n" for e in events]
+    assert type(events) is engine.RoundEvents and sorted(events.lines) == [1, 2, 3, 4]
+    assert [events.lines[e.robot] for e in events if e.kind == "wait"] == lines[1:]
+    assert events[1].payload == {"node": 1, "entry": 0, **SHARED_NOTE}
+
+
+@pytest.mark.parametrize(
+    "note", [{"entry": 9}, {"a": 1, "node": "x"}, {"k": "\x00"}], ids=["entry", "node", "stand-in"]
+)
+def test_a_note_with_its_own_entry_or_node_takes_event_line(note):
+    events = _lane_round(note)
+    assert not isinstance(events, engine.RoundEvents)
+    assert _hashed_lines(events) == [_canonical(e) + "\n" for e in events]
+
+
+@pytest.mark.parametrize("index", [i for i, cfg in enumerate(oracle.determinism_configs()) if cfg["protocol"] == "arbitrary"])
+def test_every_arbitrary_trace_line_is_canonical_json(index):
+    chunks = []
+    cli.Scenario.from_config(oracle.determinism_configs()[index]).run(
+        trace_out=lambda events, lines: chunks.append((events, lines))
+    )
+    assert any(type(events) is engine.RoundEvents for events, _ in chunks)
+    for events, lines in chunks:
+        assert lines == [_canonical(e) + "\n" for e in events]
+
+
+# -- engine.step beside the plain reference round ------------------------------------
+
+
+@st.composite
+def _small_runs(draw):
+    """(graph, placement, two fresh protocols, crash schedule): rooted or
+    clustered on a small random graph, with up to three drawn crashes."""
+    n = draw(st.integers(3, 8))
+    g = graphs.random_connected(n, min(n - 1 + draw(st.integers(0, 5)), n * (n - 1) // 2), draw(st.integers(0, 10**6)))
+    ids = list(range(1, draw(st.integers(1, n)) + 1))
+    if draw(st.booleans()):
+        make = lambda: RootedDispersion(ids, g.max_degree())
+        placement = {rid: 1 for rid in ids}
+    else:
+        clusters = cli.default_clusters(n, ids, draw(st.integers(1, min(3, len(ids)))))
+        faults = draw(st.integers(0, 2))
+        make = lambda: ArbitraryDispersion([grp for _, grp in clusters], g.edge_count, g.max_degree(), faults=faults)
+        placement = {rid: node for node, grp in clusters for rid in grp}
+    crashes = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(1, 40)), max_size=3, unique_by=lambda c: c[0]))
+    return g, placement, make(), make(), CrashSchedule.from_pairs(crashes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_runs())
+def test_step_equals_the_reference_round(config):
+    g, placement, protocol, reference, schedule = config
+    world = ref = engine.initial_world(g, placement, protocol)
+    while world.round < min(protocol.round_budget, 150):
+        world, events = engine.step(world, g, protocol, schedule)
+        ref, ref_events = reference_step(ref, g, reference, schedule)
+        assert world == ref
+        assert events == ref_events
+        assert _hashed_lines(events) == _hashed_lines(ref_events)
+        if all(s.settled for s in world.states.values() if s.alive):
+            break
