@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import ceil, log2
 
 from .engine import MOVE, SETTLE, STAY, Decision, LocalView, RobotState, Write
-from .rooted import dfs_step, _first_port
+from .rooted import BOUNCE, PROBE, REPAIR, STUCK, _first_port, dfs_step, pointer_writes
 
 
 @dataclass(frozen=True)
@@ -281,22 +281,18 @@ class ArbitraryDispersion:
                 )
             return self._finish(core, MOVE, cdr, (Write(leader, "cdr_used", True),), events, forward=True)
 
-        sid, s_cid, s_pri, s_parent, s_cdr, s_used, s_done = eff
+        sid, s_cid, s_pri = eff[:3]
 
         if s_cid == core.cid and s_cid is not None:
-            out = dfs_step(
-                s_parent, s_cdr, s_used, s_done, view.degree, view.entry_port, core.forward, False
-            )
-            writes = [Write(sid, f, v) for f, v in sorted(out.writes.items())]
-            if out.repaired:
-                events.append(("repair", {"target": sid, **out.writes}))
+            outcome, port, changes = dfs_step(eff[3:], view.degree, view.entry_port, core.forward, False)
+            writes = pointer_writes(sid, changes)
+            if outcome == REPAIR:
+                events.append(("repair", {"target": sid, **changes}))
                 return self._finish(core, STAY, writes=writes, events=events, forward=False)
-            if out.stuck:
+            if outcome == STUCK:
                 return self._finish(core, STAY, writes=writes, events=events, waiting=True, forward=False)
-            note = {"bounce": True} if out.bounced else None
-            return self._finish(
-                core, MOVE, out.exit_port, writes, events, note, forward=out.leaves_forward
-            )
+            note = {"bounce": True} if outcome == BOUNCE else None
+            return self._finish(core, MOVE, port, writes, events, note, forward=outcome == PROBE)
 
         if s_pri is not None and s_pri > my_pri:
             return self._finish(core, STAY, events=events, waiting=True, forward=False, sweep_port=0)

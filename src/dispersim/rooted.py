@@ -41,39 +41,29 @@ class RootedCore:
     epoch_clock: int = 0
 
 
-@dataclass(frozen=True)
-class DfsOutcome:
-    exit_port: int | None  # None: stay put this round
-    writes: dict
-    leaves_forward: bool
-    repaired: bool
-    bounced: bool
-    stuck: bool  # exhausted node with no parent to climb to
+# dfs_step outcomes
+GO = "go"  # leave through the port, over an edge already in the DFS tree
+PROBE = "probe"  # leave through the port, traversing that edge for the first time
+BOUNCE = "bounce"  # a probe met an occupied node: go back through the entry port
+REPAIR = "repair"  # the pointers contradict the approach: rewrite them, stay
+STUCK = "stuck"  # exhausted node with no parent to climb to: stay
 
 
-def dfs_step(
-    parent: int | None,
-    cdr: int | None,
-    cdr_used: bool,
-    subtree_done: bool,
-    degree: int,
-    entry_port: int,
-    arrived_forward: bool,
-    at_root_marker: bool,
-) -> DfsOutcome:
+def dfs_step(pointers, degree: int, entry_port: int, arrived_forward: bool, at_root_marker: bool):
     """Route a traveller through a node that hosts a settled robot.
 
-    ``arrived_forward`` is the traveller's own knowledge that its last hop
-    was the first traversal of that edge; it disambiguates a genuine return
-    through the direction pointer from a cycle closing onto the same port.
-    Returns the exit port and the pointer updates owed to the settled robot.
+    ``pointers`` is the settled robot's ``(parent, cdr, cdr_used,
+    subtree_done)``.  ``arrived_forward`` is the traveller's own knowledge
+    that its last hop was the first traversal of that edge; it disambiguates
+    a genuine return through the direction pointer from a cycle closing onto
+    the same port.  Returns ``(outcome, exit port, changes)``: one of the
+    five outcomes above, the port to leave through (None for REPAIR and
+    STUCK) and the pointer updates owed to the settled robot.
     """
-    done = lambda port, writes, fwd: DfsOutcome(port, writes, fwd, False, False, False)
-
+    parent, cdr, cdr_used, subtree_done = pointers
     if degree == 1 and parent is not None:
         # leaf: nothing beyond it, mark exhausted and send the traveller back
-        writes = {} if subtree_done else {"subtree_done": True}
-        return done(parent, writes, False)
+        return GO, parent, {} if subtree_done else {"subtree_done": True}
 
     if arrived_forward and entry_port != 0 and entry_port != parent:
         # A fresh probe reached an occupied node: bounce straight back and
@@ -81,26 +71,26 @@ def dfs_step(
         # Entering through the parent port instead proves the probe edge was
         # an old tree edge whose memory a crash destroyed, so fall through
         # and navigate by the settled robot's pointers.
-        return DfsOutcome(entry_port, {}, False, False, True, False)
+        return BOUNCE, entry_port, {}
 
     if subtree_done:
         if parent is None:
-            return DfsOutcome(None, {}, False, False, False, True)
-        return done(parent, {}, False)
+            return STUCK, None, {}
+        return GO, parent, {}
 
     well_formed = cdr is not None and 1 <= cdr <= degree and (parent is None or 1 <= parent <= degree)
     if well_formed and (degree == 1 or cdr != parent):
         if entry_port == parent or entry_port == 0:
             if not cdr_used:
-                return done(cdr, {"cdr_used": True}, True)  # fresh frontier edge
-            return done(cdr, {}, False)  # retrace the pointer trail
+                return PROBE, cdr, {"cdr_used": True}  # fresh frontier edge
+            return GO, cdr, {}  # retrace the pointer trail
         if entry_port == cdr and cdr_used:
             nxt = _next_port(cdr, parent, degree)
             if nxt is not None:
-                return done(nxt, {"cdr": nxt, "cdr_used": True}, True)
+                return PROBE, nxt, {"cdr": nxt, "cdr_used": True}
             if parent is None:
-                return DfsOutcome(None, {"subtree_done": True}, False, False, False, True)
-            return done(parent, {"subtree_done": True}, False)
+                return STUCK, None, {"subtree_done": True}
+            return GO, parent, {"subtree_done": True}
 
     # Unexpected configuration: a crash replaced this robot's predecessor.
     if parent is None or at_root_marker:
@@ -109,21 +99,30 @@ def dfs_step(
         # fresh pointer still deserves its probe; a used one brought us back
         # around a stale cycle, so advance strictly past it.
         if entry_port == 0:
-            return DfsOutcome(None, {}, False, False, False, True)
+            return STUCK, None, {}
         if cdr is not None and 1 <= cdr <= degree and not cdr_used:
-            return done(cdr, {"cdr_used": True}, True)
+            return PROBE, cdr, {"cdr_used": True}
         base = cdr if cdr is not None and 1 <= cdr <= degree else 0
         later = list(range(base + 1, degree + 1))
         preferred = [p for p in later if p != entry_port]
         nxt = preferred[0] if preferred else (later[0] if later else None)
         if nxt is None:
-            return DfsOutcome(None, {"subtree_done": True}, False, False, False, True)
-        writes = {"cdr": nxt, "cdr_used": False, "subtree_done": False}
-        return DfsOutcome(None, writes, False, True, False, False)
-    new_parent = entry_port
-    new_cdr = _first_port(new_parent, degree)
-    writes = {"parent": new_parent, "cdr": new_cdr, "cdr_used": False, "subtree_done": False}
-    return DfsOutcome(None, writes, False, True, False, False)
+            return STUCK, None, {"subtree_done": True}
+        return REPAIR, None, {"cdr": nxt, "cdr_used": False, "subtree_done": False}
+    changes = {"parent": entry_port, "cdr": _first_port(entry_port, degree), "cdr_used": False, "subtree_done": False}
+    return REPAIR, None, changes
+
+
+def pointer_writes(target: int, changes: dict) -> tuple[Write, ...]:
+    """``changes`` to a settled robot's fields as writes, in field-name order."""
+    return tuple(Write(target, f, v) for f, v in sorted(changes.items()))
+
+
+def _pointers(core: RootedCore) -> tuple[tuple, dict]:
+    """A settled robot's pointers as ``dfs_step`` reads them, and as the ``at``
+    snapshot in the note of a traveller routed by them."""
+    pointers = (core.parent, core.cdr, core.cdr_used, core.subtree_done)
+    return pointers, dict(zip(("parent", "cdr", "used", "done"), pointers))
 
 
 def _first_port(parent: int | None, degree: int) -> int:
@@ -262,30 +261,16 @@ class RootedDispersion:
         ar, ec, departer = self._pool_next(core, members)
         my_rank = self.rank[state.id]
         if departer == my_rank:
-            out = dfs_step(
-                settled_here.core.parent,
-                settled_here.core.cdr,
-                settled_here.core.cdr_used,
-                settled_here.core.subtree_done,
-                view.degree,
-                0,
-                False,
-                True,
-            )
-            if out.exit_port is not None:
-                mode = FORWARD if out.leaves_forward else DESCEND
+            pointers, snapshot = _pointers(settled_here.core)
+            outcome, port, changes = dfs_step(pointers, view.degree, 0, False, True)
+            if outcome != STUCK:
+                mode = FORWARD if outcome == PROBE else DESCEND
                 new = replace(core, mode=mode, rounds_out=1, active_rank=ar, epoch_clock=ec)
-                snapshot = {
-                    "parent": settled_here.core.parent,
-                    "cdr": settled_here.core.cdr,
-                    "used": settled_here.core.cdr_used,
-                    "done": settled_here.core.subtree_done,
-                }
                 return Decision(
                     new,
                     MOVE,
-                    port=out.exit_port,
-                    writes=tuple(Write(settled_here.id, f, v) for f, v in sorted(out.writes.items())),
+                    port=port,
+                    writes=pointer_writes(settled_here.id, changes),
                     note={"mode": mode, "rsr": 1, "rank": my_rank, "at": snapshot},
                 )
             # root exhausted: nothing to explore through; keep waiting
@@ -294,21 +279,27 @@ class RootedDispersion:
         new = replace(core, active_rank=ar, epoch_clock=ec)
         return Decision(new, STAY, note={"mode": AT_ROOT})
 
-    def _join_pool(self, state: RobotState, view: LocalView, core: RootedCore, settled_this_round: bool = False) -> Decision:
-        """A traveller back at the root adopts the waiting pool's counters."""
+    def _join_pool(
+        self, state: RobotState, view: LocalView, core: RootedCore, rsr=None, writes=(), settled_this_round=False
+    ) -> Decision:
+        """A traveller back at the root adopts the waiting pool's counters.
+        ``rsr`` is the round count its note reports, if any, and ``writes``
+        go to the root's settled robot."""
+        note = {"mode": AT_ROOT, "rejoined": True}
+        if rsr is not None:
+            note["rsr"] = rsr
         pool = self._node_facts(view.co_located)[2]
         peer = next((s for s in pool if s.id != state.id), None)
         if peer is None:
-            new = replace(core, mode=AT_ROOT, rounds_out=0, active_rank=0, epoch_clock=0)
-            return Decision(new, STAY, note={"mode": AT_ROOT, "rejoined": True})
-        if settled_this_round:
+            ar = ec = 0
+        elif settled_this_round:
             # the pool froze its counters while the root refills
             ar, ec = peer.core.active_rank, peer.core.epoch_clock
         else:
             members = sorted(self.rank[s.id] for s in pool if s.id != state.id)
             ar, ec, _ = self._pool_next(peer.core, members)
         new = replace(core, mode=AT_ROOT, rounds_out=0, active_rank=ar, epoch_clock=ec)
-        return Decision(new, STAY, note={"mode": AT_ROOT, "rejoined": True})
+        return Decision(new, STAY, writes=writes, note=note)
 
     # -- exploring ----------------------------------------------------------
     def _explore_round(self, state, view, core, settled_here, at_root_marker) -> Decision:
@@ -318,42 +309,21 @@ class RootedDispersion:
             # budget spent: resolve any half-finished probe, then head home
             return self._wind_down(state, view, core, settled_here, at_root_marker, rounds_out)
 
-        out = dfs_step(
-            settled_here.core.parent,
-            settled_here.core.cdr,
-            settled_here.core.cdr_used,
-            settled_here.core.subtree_done,
-            view.degree,
-            view.entry_port,
-            core.mode == FORWARD,
-            at_root_marker,
-        )
-        snapshot = {
-            "parent": settled_here.core.parent,
-            "cdr": settled_here.core.cdr,
-            "used": settled_here.core.cdr_used,
-            "done": settled_here.core.subtree_done,
-        }
-        writes = tuple(Write(settled_here.id, f, v) for f, v in sorted(out.writes.items()))
-        if out.repaired:
-            new = replace(core, mode=DESCEND, rounds_out=rounds_out)
-            return Decision(
-                new,
-                STAY,
-                writes=writes,
-                events=(("repair", {"target": settled_here.id, **out.writes}),),
-                note={"mode": DESCEND, "rsr": rounds_out, "at": snapshot},
-            )
-        if out.stuck:
+        pointers, snapshot = _pointers(settled_here.core)
+        outcome, port, changes = dfs_step(pointers, view.degree, view.entry_port, core.mode == FORWARD, at_root_marker)
+        writes = pointer_writes(settled_here.id, changes)
+        if outcome == STUCK:
             # exhausted the root itself: rejoin the pool
-            dec = self._join_pool(state, view, core)
-            return replace(dec, writes=writes, note={**dec.note, "rsr": rounds_out})
-        mode = FORWARD if out.leaves_forward else DESCEND
+            return self._join_pool(state, view, core, rounds_out, writes)
+        mode = FORWARD if outcome == PROBE else DESCEND
         new = replace(core, mode=mode, rounds_out=rounds_out)
         note = {"mode": mode, "rsr": rounds_out, "at": snapshot}
-        if out.bounced:
+        if outcome == REPAIR:
+            events = (("repair", {"target": settled_here.id, **changes}),)
+            return Decision(new, STAY, writes=writes, events=events, note=note)
+        if outcome == BOUNCE:
             note["bounce"] = True
-        return Decision(new, MOVE, port=out.exit_port, writes=writes, note=note)
+        return Decision(new, MOVE, port=port, writes=writes, note=note)
 
     def _wind_down(self, state, view, core, settled_here, at_root_marker, rounds_out) -> Decision:
         """Switch to retreat without leaving a dangling probe behind.
@@ -375,10 +345,9 @@ class RootedDispersion:
         if view.entry_port == s.cdr and s.cdr_used and not s.subtree_done:
             nxt = _next_port(s.cdr, s.parent, view.degree)
             resolution = {"cdr": nxt, "cdr_used": False} if nxt is not None else {"subtree_done": True}
-            writes = tuple(Write(settled_here.id, f, v) for f, v in sorted(resolution.items()))
+            writes = pointer_writes(settled_here.id, resolution)
         if s.parent is None or at_root_marker:
-            dec = self._join_pool(state, view, core)
-            return replace(dec, writes=writes, note={**dec.note, "rsr": rounds_out})
+            return self._join_pool(state, view, core, rounds_out, writes)
         new = replace(core, mode=RETREAT, rounds_out=rounds_out)
         return Decision(new, MOVE, port=s.parent, writes=writes, note={"mode": RETREAT, "rsr": rounds_out})
 
@@ -387,8 +356,7 @@ class RootedDispersion:
         rank = self.rank[state.id]
         rounds_out = core.rounds_out + 1
         if settled_here.core.parent is None or at_root_marker:
-            dec = self._join_pool(state, view, core)
-            return replace(dec, note={**dec.note, "rsr": rounds_out})
+            return self._join_pool(state, view, core, rounds_out)
         new = replace(core, mode=RETREAT, rounds_out=rounds_out)
         note = {"mode": RETREAT, "rsr": rounds_out}
         if rounds_out > 3 * rank:

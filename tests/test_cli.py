@@ -54,10 +54,14 @@ def test_run_unknown_robot_in_schedule_is_config_error(tmp_path):
     assert rc == 2
 
 
-def test_run_garbage_config_is_config_error(tmp_path):
+def test_run_garbage_config_is_config_error(tmp_path, capsys):
+    # broken JSON, bytes that are not UTF-8, and nesting deeper than the parser's recursion limit
     p = tmp_path / "broken.json"
-    p.write_text("{nope")
-    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    for garbage in (b"{nope", b'{"protocol": "\xff\xfe"}', b"[" * 100_000 + b"]" * 100_000):
+        p.write_bytes(garbage)
+        for command in ("run", "replay", "sweep"):
+            assert cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2, (garbage[:10], command)
+            assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_replay_reproduces_outputs_byte_for_byte(tmp_path):

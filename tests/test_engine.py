@@ -568,3 +568,90 @@ def test_step_equals_the_reference_round(config):
         assert _hashed_lines(events) == _hashed_lines(ref_events)
         if all(s.settled for s in world.states.values() if s.alive):
             break
+
+
+@dataclass(frozen=True)
+class ScriptCore:
+    clock: int = 0  # rounds this robot has computed
+    tag: int = 0  # the field other robots write
+
+
+_SCRIPT_NOTES = (None, {"tag": 0}, {"tag": 1, "say": "hi"})  # shared objects, as a lane's notes are
+
+# (kind, port index, writes as (target index, value), writer priority, note index, extra event)
+_script_moves = st.tuples(
+    st.sampled_from(["idle", "stay", "settle", "move"]),
+    st.integers(0, 5),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=2),
+    st.integers(0, 2),
+    st.integers(0, len(_SCRIPT_NOTES) - 1),
+    st.sampled_from([None, "repair", "merge"]),
+)
+
+
+class ScriptProtocol:
+    """A protocol whose every decision is drawn, once per (robot, clock) and
+    shared by every caller: a wait, a stay, a settle or a move through a
+    drawn port, writes to co-located robots' ``tag`` with drawn values and
+    priority, an extra event that reports the view's states, and a note.
+    ``idle`` answers a drawn wait of a settled robot exactly as
+    ``transition`` does, and nothing else."""
+
+    def __init__(self, data):
+        self.data = data
+        self.moves = {}
+
+    def _move(self, state):
+        key = (state.id, state.core.clock)
+        if key not in self.moves:
+            self.moves[key] = self.data.draw(_script_moves)
+        return self.moves[key]
+
+    def idle(self, state):
+        kind, _, _, _, note, _ = self._move(state)
+        if kind != "idle":
+            return None
+        return replace(state.core, clock=state.core.clock + 1), _SCRIPT_NOTES[note]
+
+    def transition(self, state, view):
+        kind, port, writes, priority, note, extra = self._move(state)
+        core = replace(state.core, clock=state.core.clock + 1)
+        if kind == "idle":
+            return Decision(core, STAY, note=_SCRIPT_NOTES[note])
+        here = view.co_located
+        # one write per target: a Decision that writes one field twice has no agreed meaning
+        tags = {here[i % len(here)].id: value for i, value in writes}
+        action = MOVE if kind == "move" and not state.settled else SETTLE if kind == "settle" else STAY
+        return Decision(
+            core,
+            action,
+            port=1 + port % view.degree if action == MOVE else 0,
+            writes=tuple(Write(target, "tag", value) for target, value in tags.items()),
+            events=((extra, {"saw": [(s.id, s.core.clock, s.core.tag) for s in here]}),) if extra else (),
+            note=_SCRIPT_NOTES[note],
+            writer_priority=priority,
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_step_equals_the_reference_round_on_drawn_decisions(data):
+    # a drawn initial world: robots crowd few nodes, so writes contend, and
+    # settled robots may start with a non-zero entry port
+    draw = data.draw
+    n = draw(st.integers(2, 6))
+    g = graphs.random_connected(n, min(n - 1 + draw(st.integers(0, 4)), n * (n - 1) // 2), draw(st.integers(0, 99)))
+    ids = range(1, draw(st.integers(1, 6)) + 1)
+    locations = {rid: draw(st.integers(1, 2)) for rid in ids}
+    states = {rid: RobotState(rid, True, draw(st.booleans()), ScriptCore(tag=draw(st.integers(0, 3)))) for rid in ids}
+    entry_ports = {rid: draw(st.integers(0, g.degree(locations[rid]))) for rid in ids}
+    crashes = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(1, 8)), max_size=2, unique_by=lambda c: c[0]))
+    schedule = CrashSchedule.from_pairs(crashes)
+    protocol = ScriptProtocol(data)
+    world = ref = engine.WorldState(0, states, locations, entry_ports)
+    for _ in range(8):
+        world, events = engine.step(world, g, protocol, schedule)
+        ref, ref_events = reference_step(ref, g, protocol, schedule)
+        assert world == ref
+        assert events == ref_events
+        assert _hashed_lines(events) == _hashed_lines(ref_events)

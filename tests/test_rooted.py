@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersim import graph as graphs, oracle
 from dispersim.engine import CrashSchedule, run
-from dispersim.rooted import RootedDispersion, dfs_step
+from dispersim.rooted import BOUNCE, PROBE, REPAIR, RootedDispersion, dfs_step
 
 
 def rooted_run(g, k, schedule=None, ids=None, root=1):
@@ -69,55 +73,70 @@ def test_returned_robot_departs_again_with_persistent_progress():
 
 
 def test_dfs_backtrack_when_ports_exhausted():
-    out = dfs_step(parent=1, cdr=2, cdr_used=True, subtree_done=False,
-                   degree=2, entry_port=2, arrived_forward=False, at_root_marker=False)
-    assert out.exit_port == 1
-    assert out.writes == {"subtree_done": True}
+    outcome, port, changes = dfs_step((1, 2, True, False), degree=2, entry_port=2,
+                                      arrived_forward=False, at_root_marker=False)
+    assert port == 1
+    assert changes == {"subtree_done": True}
 
 
 def test_dfs_advances_to_next_unexplored_port():
-    out = dfs_step(parent=1, cdr=2, cdr_used=True, subtree_done=False,
-                   degree=3, entry_port=2, arrived_forward=False, at_root_marker=False)
-    assert out.exit_port == 3
-    assert out.writes == {"cdr": 3, "cdr_used": True}
-    assert out.leaves_forward
+    outcome, port, changes = dfs_step((1, 2, True, False), degree=3, entry_port=2,
+                                      arrived_forward=False, at_root_marker=False)
+    assert port == 3
+    assert changes == {"cdr": 3, "cdr_used": True}
+    assert outcome == PROBE
 
 
 def test_dfs_fresh_descent_marks_pointer_used():
-    out = dfs_step(parent=1, cdr=2, cdr_used=False, subtree_done=False,
-                   degree=3, entry_port=1, arrived_forward=False, at_root_marker=False)
-    assert out.exit_port == 2 and out.writes == {"cdr_used": True} and out.leaves_forward
+    outcome, port, changes = dfs_step((1, 2, False, False), degree=3, entry_port=1,
+                                      arrived_forward=False, at_root_marker=False)
+    assert port == 2 and changes == {"cdr_used": True} and outcome == PROBE
 
 
 def test_dfs_retrace_through_used_pointer():
-    out = dfs_step(parent=1, cdr=2, cdr_used=True, subtree_done=False,
-                   degree=3, entry_port=1, arrived_forward=False, at_root_marker=False)
-    assert out.exit_port == 2 and out.writes == {} and not out.leaves_forward
+    outcome, port, changes = dfs_step((1, 2, True, False), degree=3, entry_port=1,
+                                      arrived_forward=False, at_root_marker=False)
+    assert port == 2 and changes == {} and outcome != PROBE
 
 
 def test_dfs_forward_probe_bounces_off_occupied_node():
-    out = dfs_step(parent=1, cdr=3, cdr_used=True, subtree_done=False,
-                   degree=3, entry_port=2, arrived_forward=True, at_root_marker=False)
-    assert out.bounced and out.exit_port == 2 and out.writes == {}
+    outcome, port, changes = dfs_step((1, 3, True, False), degree=3, entry_port=2,
+                                      arrived_forward=True, at_root_marker=False)
+    assert outcome == BOUNCE and port == 2 and changes == {}
 
 
 def test_dfs_leaf_is_marked_exhausted():
-    out = dfs_step(parent=1, cdr=1, cdr_used=False, subtree_done=False,
-                   degree=1, entry_port=1, arrived_forward=False, at_root_marker=False)
-    assert out.exit_port == 1 and out.writes == {"subtree_done": True}
+    outcome, port, changes = dfs_step((1, 1, False, False), degree=1, entry_port=1,
+                                      arrived_forward=False, at_root_marker=False)
+    assert port == 1 and changes == {"subtree_done": True}
 
 
 def test_dfs_unexpected_arrival_triggers_repair():
-    out = dfs_step(parent=2, cdr=1, cdr_used=False, subtree_done=False,
-                   degree=3, entry_port=3, arrived_forward=False, at_root_marker=False)
-    assert out.repaired and out.exit_port is None
-    assert out.writes == {"parent": 3, "cdr": 1, "cdr_used": False, "subtree_done": False}
+    outcome, port, changes = dfs_step((2, 1, False, False), degree=3, entry_port=3,
+                                      arrived_forward=False, at_root_marker=False)
+    assert outcome == REPAIR and port is None
+    assert changes == {"parent": 3, "cdr": 1, "cdr_used": False, "subtree_done": False}
 
 
 def test_dfs_never_rewrites_root_parent():
-    out = dfs_step(parent=None, cdr=1, cdr_used=True, subtree_done=False,
-                   degree=3, entry_port=2, arrived_forward=False, at_root_marker=True)
-    assert "parent" not in out.writes
+    outcome, port, changes = dfs_step((None, 1, True, False), degree=3, entry_port=2,
+                                      arrived_forward=False, at_root_marker=True)
+    assert "parent" not in changes
+
+
+def test_dfs_step_table_over_every_small_input():
+    # every input with degree <= 4, pointers in [None, 0..degree+1], both
+    # values of each flag and each entry port: (outcome, port, sorted changes)
+    rows = []
+    for degree in range(1, 5):
+        ports = [None, *range(degree + 2)]
+        for pointers in itertools.product(ports, ports, (False, True), (False, True)):
+            for entry, forward, at_root in itertools.product(range(degree + 1), (False, True), (False, True)):
+                outcome, port, changes = dfs_step(pointers, degree, entry, forward, at_root)
+                rows.append([[*pointers, degree, entry, forward, at_root], [outcome, port, sorted(changes.items())]])
+    assert len(rows) == 7936
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "c618f5c5fddda7e9647803ba1faafc4db252a84ad3ffacf2414e9945f26512e2"
 
 
 # -- cycle avoidance ------------------------------------------------------------------
