@@ -11,16 +11,23 @@ boundary every pointer resets, which confines crash damage to its phase.
 At a node of degree >= k the cluster switches to a port-by-port neighborhood
 sweep that settles everyone within 2*degree+1 rounds.
 
+Travellers read a node's settled robot through its core, as the rooted
+protocol does: its (parent, cdr, cdr_used, subtree_done) route them through
+``rooted.dfs_step``, and every write to it goes through
+``rooted.pointer_writes``.  In a reset round it reads as ``_RESET``, what the
+reset leaves of it.
+
 Per robot-step cost: most steps are waits, and a wait is paid for once per
 cluster, not once per robot.  A settled robot only ticks its counter, which
 ``idle`` gives the engine without a view or a transition outside reset
-rounds, with one note object for all settled robots of a cluster, so the
-engine writes their trace lines from one template.  The facts of a node
-(its settled robot, its unsettled ids, each priority's leader) are computed
-once per node per round, and a robot that does not lead its node gets the
-Decision of the node-mate decided just before it when their cores, settled
-flags and entry ports are equal: a cluster moving or parked as one unit is
-decided by its leader and one follower.
+rounds, from the same ``_tick`` and ``_note`` as a Decision, with one note
+object for all settled robots of a cluster, so the engine writes their
+trace lines from one template.  The facts of a node (its settled robot, its
+unsettled ids, each priority's leader) are computed once per node per
+round, and a robot that does not lead its node gets the Decision of the
+node-mate decided just before it when their cores, settled flags and entry
+ports are equal: a cluster moving or parked as one unit is decided by its
+leader and one follower.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, log2
 
-from .engine import MOVE, SETTLE, STAY, Decision, LocalView, RobotState, Write
+from .engine import MOVE, SETTLE, STAY, Decision, LocalView, RobotState
 from .rooted import BOUNCE, PROBE, REPAIR, STUCK, _first_port, dfs_step, pointer_writes
 
 
@@ -51,28 +58,33 @@ class ArbitraryCore:
 _new_core = object.__new__
 
 
-def _tick(core: ArbitraryCore, changes: dict | None = None) -> tuple[ArbitraryCore, dict]:
-    """One round's core and action note: ``dataclasses.replace(core,
-    **changes)`` with the counter ticked down, and the note that the robot's
-    action event carries.  The core is a copy of the frozen core's field
-    dict with the changes applied, not a call of the generated
-    ``__init__``, which is several times cheaper; valid while ArbitraryCore
-    has no slots, no __post_init__ and no init=False fields.  Engine write
-    arbitration still uses ``replace``."""
+def _tick(core: ArbitraryCore, changes: dict | None = None) -> ArbitraryCore:
+    """One round's core: ``dataclasses.replace(core, **changes)`` with the
+    counter ticked down.  A copy of the frozen core's field dict with the
+    changes applied, not a call of the generated ``__init__``, which is
+    several times cheaper; valid while ArbitraryCore has no slots, no
+    __post_init__ and no init=False fields.  Engine write arbitration still
+    uses ``replace``."""
     new = _new_core(ArbitraryCore)
     fields = new.__dict__
     fields.update(core.__dict__)
     if changes:
         fields.update(changes)
-    counter = fields["counter"] = core.counter - 1
-    note = {
-        "cid": fields["cid"],
-        "pri": fields["priority"],
-        "counter": counter,
-        "phase": fields["phase_index"],
-        "waiting": fields["waiting"],
+    fields["counter"] = core.counter - 1
+    return new
+
+
+def _note(core: ArbitraryCore) -> dict:
+    """The action note of a robot whose new core is ``core``."""
+    return {
+        "cid": core.cid, "pri": core.priority, "counter": core.counter, "phase": core.phase_index,
+        "waiting": core.waiting,
     }
-    return new, note
+
+
+# what a reset leaves of a settled robot's fields, as the robots that meet it
+# in a reset round read them
+_RESET = ArbitraryCore()
 
 
 class ArbitraryDispersion:
@@ -141,19 +153,13 @@ class ArbitraryDispersion:
         core: ArbitraryCore = state.core
         if not core.counter:
             return None
-        new = _new_core(ArbitraryCore)
-        fields = new.__dict__
-        fields.update(core.__dict__)
-        counter = fields["counter"] = core.counter - 1
-        if counter != self._notes_counter:
-            self._notes_counter, self._notes = counter, {}
+        new = _tick(core)
+        if new.counter != self._notes_counter:
+            self._notes_counter, self._notes = new.counter, {}
         key = (core.cid, core.priority, core.phase_index, core.waiting)
         note = self._notes.get(key)
         if note is None:
-            note = self._notes[key] = {
-                "cid": core.cid, "pri": core.priority, "counter": counter, "phase": core.phase_index,
-                "waiting": core.waiting,
-            }
+            note = self._notes[key] = _note(new)
         return new, note
 
     # -- transition ----------------------------------------------------------
@@ -212,11 +218,10 @@ class ArbitraryDispersion:
         if core.waiting:
             return self._finish(core, STAY, events=events)
 
-        eff = self._eff_settled(settled_here, reset_round)
-
+        settled = None if settled_here is None else _RESET if reset_round else settled_here.core
         if core.sweep_port > 0:
-            return self._sweep_round(state, view, core, eff, leader, events)
-        return self._explore_round(state, view, core, eff, leader, events, reset_round)
+            return self._sweep_round(state, view, core, settled, leader, events)
+        return self._explore_round(state, view, core, settled_here, settled, leader, events, reset_round)
 
     def _node_facts(self, co_located: tuple[RobotState, ...]):
         """(first settled robot, lowest and highest unsettled id, each
@@ -242,30 +247,22 @@ class ArbitraryDispersion:
         self._facts_of = co_located
         return self._facts
 
-    @staticmethod
-    def _eff_settled(settled_here, reset_round):
-        """The settled robot's fields as they stand after this round's reset."""
-        if settled_here is None:
-            return None
-        c = settled_here.core
-        if reset_round:
-            return settled_here.id, None, None, None, None, False, False
-        return settled_here.id, c.cid, c.priority, c.parent, c.cdr, c.cdr_used, c.subtree_done
-
     def _finish(
         self, core: ArbitraryCore, action: str, port: int = 0, writes=(), events=(), extra_note=None, **changes
     ) -> Decision:
-        """The decision, with ``changes`` applied to ``core`` by ``_tick``."""
-        new, note = _tick(core, changes)
+        """The decision: ``changes`` applied to ``core`` by ``_tick``, and the
+        ``_note`` of the new core with ``extra_note`` added."""
+        new = _tick(core, changes)
+        note = _note(new)
         if extra_note:
             note.update(extra_note)
         return Decision(new, action, port, tuple(writes), tuple(events), note, new.priority or 0)
 
     # -- exploration -------------------------------------------------------------
-    def _explore_round(self, state, view, core, eff, leader, events, reset_round) -> Decision:
-        my_pri = core.priority or 0
-
-        if eff is None:
+    def _explore_round(self, state, view, core, settled_here, settled, leader, events, reset_round) -> Decision:
+        """``settled`` is the core of the node's settled robot ``settled_here``
+        (``_RESET`` in a reset round), None on an empty node."""
+        if settled is None:
             # empty node: lowest id settles, the rest leave through its pointer
             parent = None if view.entry_port == 0 else view.entry_port
             cdr = _first_port(parent, view.degree)
@@ -279,12 +276,12 @@ class ArbitraryDispersion:
                 return self._finish(
                     core, MOVE, 1, events=events, extra_note={"sweep": 1}, sweep_port=1, sweep_out=False, forward=False
                 )
-            return self._finish(core, MOVE, cdr, (Write(leader, "cdr_used", True),), events, forward=True)
+            return self._finish(core, MOVE, cdr, pointer_writes(leader, {"cdr_used": True}), events, forward=True)
 
-        sid, s_cid, s_pri = eff[:3]
-
-        if s_cid == core.cid and s_cid is not None:
-            outcome, port, changes = dfs_step(eff[3:], view.degree, view.entry_port, core.forward, False)
+        sid = settled_here.id
+        if settled.cid == core.cid and settled.cid is not None:
+            pointers = (settled.parent, settled.cdr, settled.cdr_used, settled.subtree_done)
+            outcome, port, changes = dfs_step(pointers, view.degree, view.entry_port, core.forward, False)
             writes = pointer_writes(sid, changes)
             if outcome == REPAIR:
                 events.append(("repair", {"target": sid, **changes}))
@@ -294,7 +291,7 @@ class ArbitraryDispersion:
             note = {"bounce": True} if outcome == BOUNCE else None
             return self._finish(core, MOVE, port, writes, events, note, forward=outcome == PROBE)
 
-        if s_pri is not None and s_pri > my_pri:
+        if settled.priority is not None and settled.priority > (core.priority or 0):
             return self._finish(core, STAY, events=events, waiting=True, forward=False, sweep_port=0)
 
         # lower-priority or reset robot: adopt it into this cluster's tree.
@@ -306,14 +303,10 @@ class ArbitraryDispersion:
         parent = None if view.entry_port == 0 or reset_round else view.entry_port
         cdr = _first_port(view.entry_port, view.degree)
         sweeping = view.degree >= self.k
-        writes = (
-            Write(sid, "cid", core.cid),
-            Write(sid, "priority", core.priority),
-            Write(sid, "parent", parent),
-            Write(sid, "cdr", cdr),
-            Write(sid, "cdr_used", not sweeping),
-            Write(sid, "subtree_done", False),
-        )
+        writes = pointer_writes(sid, {
+            "cid": core.cid, "priority": core.priority, "parent": parent, "cdr": cdr, "cdr_used": not sweeping,
+            "subtree_done": False,
+        })
         if sweeping:
             return self._finish(
                 core, MOVE, 1, writes, events, {"sweep": 1}, sweep_port=1, sweep_out=False, forward=False
@@ -321,7 +314,7 @@ class ArbitraryDispersion:
         return self._finish(core, MOVE, cdr, writes, events, forward=True)
 
     # -- degree >= k neighborhood sweep -------------------------------------------
-    def _sweep_round(self, state, view, core, eff, leader, events) -> Decision:
+    def _sweep_round(self, state, view, core, settled, leader, events) -> Decision:
         if core.sweep_out:
             if core.sweep_port > view.degree:
                 # neighborhood exhausted (only reachable in degenerate states)
@@ -331,7 +324,7 @@ class ArbitraryDispersion:
             )
 
         # at a neighbor: settle on empty, yield to stronger, otherwise go back
-        if eff is None:
+        if settled is None:
             if state.id == leader:
                 parent = view.entry_port
                 cdr = _first_port(parent, view.degree)
@@ -340,12 +333,8 @@ class ArbitraryDispersion:
                     parent=parent, cdr=cdr, cdr_used=False, subtree_done=False, forward=False, sweep_port=0,
                     sweep_out=False,
                 )
-        else:
-            _, _, s_pri, _, _, _, _ = eff
-            if s_pri is not None and s_pri > (core.priority or 0):
-                return self._finish(
-                    core, STAY, events=events, waiting=True, sweep_port=0, sweep_out=False, forward=False
-                )
+        elif settled.priority is not None and settled.priority > (core.priority or 0):
+            return self._finish(core, STAY, events=events, waiting=True, sweep_port=0, sweep_out=False, forward=False)
         return self._finish(
             core, MOVE, view.entry_port, events=events, extra_note={"sweep": core.sweep_port},
             sweep_port=core.sweep_port + 1, sweep_out=True,

@@ -87,7 +87,7 @@ class Decision:
     core: object
     action: str = STAY
     port: int = 0
-    writes: tuple[Write, ...] = ()
+    writes: tuple[Write, ...] = ()  # at most one per (target, field)
     events: tuple[tuple[str, dict], ...] = ()  # extra protocol events (repair/merge/reset)
     note: dict | None = None  # merged into this robot's action-event payload
     writer_priority: int = 0
@@ -252,7 +252,10 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
                 for w in dec.writes:
                     if w.target not in ids:
                         raise WriteToNonCoLocated(f"robot {rid} wrote to non-co-located robot {w.target}")
-                    contested.setdefault((w.target, w.field), []).append((dec.writer_priority, rid, w.value))
+                    writers = contested.setdefault((w.target, w.field), [])
+                    if writers and writers[-1][1] == rid:  # this robot's writes are appended consecutively
+                        raise EngineError(f"robot {rid} wrote field {w.field!r} of robot {w.target} twice")
+                    writers.append((dec.writer_priority, rid, w.value))
             for kind, extra in dec.events:
                 events.append(TraceEvent(rnd, rid, kind, {"node": node, **extra}))
             states[rid] = RobotState(rid, True, st.settled or action == SETTLE, core)
@@ -338,18 +341,11 @@ def trace_hash(trace: list[TraceEvent], out: list[str] | None = None, sha=None) 
     ``sha`` is given: its owner reads it once, when the trace is complete.
     A ``RoundEvents`` chunk takes the lines its lane robots already have."""
     h = hashlib.sha256() if sha is None else sha
-    if type(trace) is RoundEvents:
-        written = trace.lines
-        lines = [written.get(event.robot) or event_line(event) + "\n" for event in trace]
-        h.update("".join(lines).encode())
-        if out is not None:
-            out.extend(lines)
-        return h.hexdigest() if sha is None else None
-    for event in trace:
-        line = event_line(event) + "\n"
-        h.update(line.encode())
-        if out is not None:
-            out.append(line)
+    written = trace.lines if type(trace) is RoundEvents else {}
+    lines = [written.get(event.robot) or event_line(event) + "\n" for event in trace]
+    h.update("".join(lines).encode())
+    if out is not None:
+        out.extend(lines)
     return h.hexdigest() if sha is None else None
 
 

@@ -252,10 +252,10 @@ class RootedDispersion:
         boundary = ar == 0 or ec >= 3 * ar
         if not boundary:
             return ar, ec + 1, None
-        if members:
-            nxt = members[0]
-            return nxt, 1, nxt
-        return 0, 0, None
+        # members is never empty: the pool's ranks include the caller's, and
+        # a rejoining robot asks only when the pool has a peer
+        nxt = members[0]
+        return nxt, 1, nxt
 
     def _pool_round(self, state: RobotState, view: LocalView, core: RootedCore, settled_here, members) -> Decision:
         ar, ec, departer = self._pool_next(core, members)

@@ -2,7 +2,8 @@
 
 A reference for ``engine.step``: crashes; every view from the start-of-round
 snapshot; every decision; then the new cores, the writes by (priority, id)
-and the moves.  It has no idle lane, no grouping by node and no caches, so
+and the moves.  A Decision that writes one field of one robot twice is an
+error.  It has no idle lane, no grouping by node and no caches, so
 every robot goes through ``transition`` with a co-located tuple of its own.
 """
 
@@ -50,6 +51,10 @@ def reference_step(world: WorldState, graph, protocol, schedule) -> tuple[WorldS
         st = states[rid]
         if st.settled and dec.action == MOVE:
             raise EngineError(f"settled robot {rid} attempted to move")
+        fields = [(w.target, w.field) for w in dec.writes]
+        for target, name in fields:
+            if fields.count((target, name)) > 1:
+                raise EngineError(f"robot {rid} wrote field {name!r} of robot {target} twice")
         states[rid] = RobotState(rid, True, st.settled or dec.action == SETTLE, dec.core)
 
     # the strongest writer of a field writes last

@@ -85,3 +85,13 @@ def test_criterion_7_determinism_and_replay(tmp_path):
     assert cli.main(["replay", "--config", str(cfg_path), "--out", str(out)]) == 0, "replay mismatch"
     after = (out / "summary.json").read_bytes(), (out / "trace.jsonl").read_bytes()
     assert before == after, "replay altered stored outputs"
+
+
+def test_memory_verify_suite():
+    # its own audit, so criterion 6's shared count stays that of the criteria above
+    audit = oracle.MemoryAudit()
+    passed, report = oracle.check_criterion("memory", audit)
+    print(f"ACCEPTANCE memory suite: {'PASS' if passed else 'FAIL'} {report}")
+    assert passed, report["failures"][:3]
+    assert report["max_bits_seen"] == 39
+    assert audit.runs == COUNTS["rooted-faultfree"]["runs"] + COUNTS["arbitrary-faultfree"]["runs"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersim import cli, engine, graph as graphs, oracle
-from dispersim.arbitrary import ArbitraryCore, ArbitraryDispersion, _tick
+from dispersim.arbitrary import ArbitraryCore, ArbitraryDispersion, _note, _tick
 from dispersim.engine import (
     MOVE,
     SETTLE,
@@ -136,6 +136,40 @@ def test_phase_reset_clears_settled_pointers_and_reforms_clusters():
     db = proto.transition(b, view2)
     assert da.core.cid == db.core.cid == 7  # max co-located unsettled id
     assert any(kind == "reset" for kind, _ in da.events)
+
+
+@pytest.mark.parametrize(
+    "pointers, writes",
+    [
+        # the root's last port came back used: the root is exhausted now
+        ((None, 2, True, False), (Write(1, "subtree_done", True),)),
+        # an exhausted root
+        ((None, 1, True, True), ()),
+    ],
+)
+def test_cluster_at_its_exhausted_root_waits_out_the_phase(pointers, writes):
+    proto = make_protocol([[1, 2, 3]], graphs.ring(8))
+    parent, cdr, cdr_used, subtree_done = pointers
+    root = fabricate(1, True, cid=3, priority=3, parent=parent, cdr=cdr, cdr_used=cdr_used,
+                     subtree_done=subtree_done, counter=5)
+    here = (root, fabricate(2, False, cid=3, priority=3, counter=5), fabricate(3, False, cid=3, priority=3, counter=5))
+    for traveller in here[1:]:
+        dec = proto.transition(traveller, LocalView(degree=2, entry_port=2, co_located=here))
+        assert (dec.action, dec.writes, dec.events) == (STAY, writes, ())
+        assert dec.core == replace(traveller.core, waiting=True, counter=4)
+        assert dec.note == {"cid": 3, "pri": 3, "counter": 4, "phase": 0, "waiting": True}
+
+
+def test_sweep_with_no_port_left_ends_in_place():
+    # a hub whose sweep pointer ran past its degree: the cluster stays and
+    # ends the sweep, and explores from the hub next round
+    proto = make_protocol([[1, 2, 3]], graphs.ring(8))
+    here = tuple(fabricate(rid, False, cid=3, priority=3, sweep_port=3, sweep_out=True, counter=5) for rid in (2, 3))
+    for traveller in here:
+        dec = proto.transition(traveller, LocalView(degree=2, entry_port=1, co_located=here))
+        assert (dec.action, dec.port, dec.writes, dec.events) == (STAY, 0, (), ())
+        assert dec.core == replace(traveller.core, sweep_port=0, sweep_out=False, counter=4)
+        assert dec.note == {"cid": 3, "pri": 3, "counter": 4, "phase": 0, "waiting": False}
 
 
 # -- scenario runs --------------------------------------------------------------------
@@ -458,15 +492,21 @@ def test_field_strategy_covers_every_core_field():
 def test_tick_equals_dataclasses_replace(base, other, changed):
     core = ArbitraryCore(**base)
     changes = {name: other[name] for name in changed}
-    fast, note = _tick(core, changes)
+    fast = _tick(core, changes)
     slow = replace(core, **{**changes, "counter": core.counter - 1})
     assert type(fast) is ArbitraryCore
-    assert note == {"cid": slow.cid, "pri": slow.priority, "counter": slow.counter, "phase": slow.phase_index,
-                    "waiting": slow.waiting}
     assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
     assert core == ArbitraryCore(**base)  # the source core is untouched
     with pytest.raises(FrozenInstanceError):
         fast.counter = 0
+
+
+@given(_field_values)
+def test_note_reports_the_new_cores_cluster_counter_and_phase(core_fields):
+    core = ArbitraryCore(**core_fields)
+    assert _note(core) == {"cid": core.cid, "pri": core.priority, "counter": core.counter,
+                           "phase": core.phase_index, "waiting": core.waiting}
+    assert _note(core) is not _note(core)  # a Decision's note is its own, free to extend
 
 
 def test_node_facts_with_interleaved_nodes_match_a_fresh_protocol():

@@ -83,6 +83,55 @@ def test_replay_reproduces_outputs_byte_for_byte(tmp_path):
     assert (tmp_path / "out" / "summary.json").read_bytes() == before
 
 
+SEEDED = {
+    "protocol": "rooted",
+    "graph": {"generator": "random_connected", "n": 9, "m": 14, "seed": 4},
+    "robots": {"k": 6},
+    "placement": {"root": 1},
+    "faults": {"random": {"f": 2, "seed": 11}},
+}
+
+
+def test_run_seed_overrides_the_fault_seed(tmp_path):
+    # seeds 11 and 2 draw crash schedules that give different traces
+    reseeded = dict(SEEDED, faults={"random": {"f": 2, "seed": 2}})
+    outputs = {}
+    for name, cfg, extra in (("own", SEEDED, []), ("flag", SEEDED, ["--seed", "2"]), ("cfg", reseeded, [])):
+        path = write_config(tmp_path, f"{name}.json", cfg)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / name), *extra]) == 0
+        outputs[name] = [(tmp_path / name / f).read_bytes() for f in ("summary.json", "trace.jsonl")]
+    assert outputs["flag"] == outputs["cfg"]
+    assert outputs["flag"][0] != outputs["own"][0]
+    own = str(tmp_path / "own.json")
+    assert cli.main(["replay", "--config", own, "--out", str(tmp_path / "flag"), "--seed", "2"]) == 0
+    assert cli.main(["replay", "--config", own, "--out", str(tmp_path / "flag")]) == 1
+
+
+def test_sweep_seed_reseeds_the_rows_with_crashes(tmp_path):
+    cfg = {"protocol": "rooted", "graph": {"generator": "ring", "n": 8}, "placement": {"root": 1},
+           "sweep": {"k": [6], "f": [0, 2]}, "seed": 0}
+    rows = {}
+    for name, config, extra in (("own", cfg, []), ("flag", cfg, ["--seed", "2"]), ("cfg", dict(cfg, seed=2), [])):
+        path = write_config(tmp_path, f"{name}.json", config)
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / name), *extra]) == 0
+        with open(tmp_path / name / "results.csv", newline="") as fh:
+            rows[name] = list(csv.DictReader(fh))
+    assert rows["flag"] == rows["cfg"]
+    (own_f0, own_f2), (flag_f0, flag_f2) = rows["own"], rows["flag"]
+    assert own_f0 == flag_f0  # no crashes, nothing to reseed
+    assert (own_f2["f"], own_f2["rounds"], flag_f2["rounds"]) == ("2", "36", "34")
+
+
+def test_exhaustive_over_the_cap_is_rejected_before_any_run(tmp_path, capsys):
+    # C(10, 5) crash sets times 700^5 crash rounds (the 7k^2 budget): about 4.2e16 schedules
+    cfg = {"protocol": "rooted", "graph": {"generator": "ring", "n": 10}, "robots": {"k": 10},
+           "placement": {"root": 1}, "faults": {"exhaustive": {"f": 5}}}
+    path = write_config(tmp_path, "ex.json", cfg)
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "enumeration too large: 42353640000000000 schedules exceed cap 1000000\n"
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_replay_detects_tampering(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", ROOTED_RING3)
     out = str(tmp_path / "out")

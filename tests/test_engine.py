@@ -136,6 +136,21 @@ def test_write_to_non_co_located_rejected():
         engine.step(world, g, protocol, CrashSchedule())
 
 
+@pytest.mark.parametrize("step", [engine.step, reference_step], ids=["step", "reference"])
+def test_a_decision_that_writes_one_field_twice_is_rejected(step):
+    g = graphs.path(2)
+    twice = lambda s, v: Decision(s.core, STAY, writes=(Write(1, "tag", 0), Write(2, "tag", 5), Write(1, "tag", 1)))
+    protocol = StubProtocol(script={1: twice, 2: lambda s, v: Decision(s.core, STAY)})
+    world = engine.initial_world(g, {1: 1, 2: 1}, protocol)
+    with pytest.raises(engine.EngineError, match=r"^robot 1 wrote field 'tag' of robot 1 twice$"):
+        step(world, g, protocol, CrashSchedule())
+    # one write per (target, field) is fine, whoever else writes that field
+    once = lambda s, v: Decision(s.core, STAY, writes=(Write(1, "tag", 0), Write(1, "port", 1)))
+    protocol = StubProtocol(script={1: once, 2: lambda s, v: Decision(s.core, STAY, writes=(Write(1, "tag", 3),))})
+    world, _ = step(engine.initial_world(g, {1: 1, 2: 1}, protocol), g, protocol, CrashSchedule())
+    assert world.states[1].core == StubCore(tag=3, port=1)
+
+
 def test_invalid_move_port_rejected():
     g = graphs.path(2)
     protocol = StubProtocol(script={1: lambda s, v: Decision(s.core, MOVE, port=2)})
@@ -619,7 +634,7 @@ class ScriptProtocol:
         if kind == "idle":
             return Decision(core, STAY, note=_SCRIPT_NOTES[note])
         here = view.co_located
-        # one write per target: a Decision that writes one field twice has no agreed meaning
+        # one write per target: a Decision that writes one field twice is an error
         tags = {here[i % len(here)].id: value for i, value in writes}
         action = MOVE if kind == "move" and not state.settled else SETTLE if kind == "settle" else STAY
         return Decision(

@@ -11,8 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersim import graph as graphs, oracle
-from dispersim.engine import CrashSchedule, run
-from dispersim.rooted import BOUNCE, PROBE, REPAIR, RootedDispersion, dfs_step
+from dispersim.engine import STAY, CrashSchedule, LocalView, RobotState, Write, run
+from dispersim.rooted import (
+    AT_ROOT,
+    BOUNCE,
+    DESCEND,
+    PROBE,
+    REPAIR,
+    RETREAT,
+    SETTLED,
+    RootedCore,
+    RootedDispersion,
+    dfs_step,
+)
 
 
 def rooted_run(g, k, schedule=None, ids=None, root=1):
@@ -137,6 +148,51 @@ def test_dfs_step_table_over_every_small_input():
     assert len(rows) == 7936
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "c618f5c5fddda7e9647803ba1faafc4db252a84ad3ffacf2414e9945f26512e2"
+
+
+# -- transitions on hand-built states ---------------------------------------------------
+
+
+def _robot(rid, settled=False, **core):
+    return RobotState(rid, True, settled, RootedCore(**core))
+
+
+def test_travellers_where_another_robot_settles():
+    # Robot 1 of the pool settles on the root, whose settled robot crashed.
+    # The pool freezes its counters; a retreater arriving at the root joins
+    # it with those counters, and a traveller elsewhere stays as it is.
+    proto = RootedDispersion([1, 2, 3, 4], max_degree=3)
+    pool = [_robot(1, active_rank=3, epoch_clock=4), _robot(2, active_rank=3, epoch_clock=4)]
+    retreater = _robot(3, mode=RETREAT, rounds_out=5)
+    here = (*pool, retreater)
+    assert proto.transition(pool[1], LocalView(2, 0, here)).core == pool[1].core
+    dec = proto.transition(retreater, LocalView(2, 1, here))
+    assert (dec.action, dec.writes, dec.note) == (STAY, (), {"mode": AT_ROOT, "rejoined": True})
+    assert dec.core == RootedCore(mode=AT_ROOT, rounds_out=0, active_rank=3, epoch_clock=4)
+
+    # away from the root, robot 2 settles and robots 3 and 4 keep their cores
+    here = (_robot(2, mode=DESCEND, rounds_out=2), retreater, _robot(4, mode=DESCEND, rounds_out=1))
+    for traveller in here[1:]:
+        dec = proto.transition(traveller, LocalView(2, 1, here))
+        assert (dec.core, dec.action, dec.writes) == (traveller.core, STAY, ())
+        assert dec.note == {"mode": traveller.core.mode, "rsr": traveller.core.rounds_out}
+
+
+@pytest.mark.parametrize("epoch_clock, counters", [(5, (2, 6)), (6, (3, 1))])
+def test_expired_explorer_back_at_the_root_rejoins_the_pool(epoch_clock, counters):
+    # Robot 2 (rank 2, budget 3 rounds out) returns to the root through its
+    # used pointer in its fourth round: it resolves the pointer and rejoins
+    # the pool, whose counters it takes one round on.  At epoch clock 6
+    # rank 2's epoch of 3 * 2 rounds is over and rank 3 is released.
+    proto = RootedDispersion([1, 2, 3], max_degree=2)
+    root = _robot(1, settled=True, mode=SETTLED, cdr=1, cdr_used=True)
+    explorer = _robot(2, mode=DESCEND, rounds_out=3)
+    here = (root, explorer, _robot(3, active_rank=2, epoch_clock=epoch_clock))
+    dec = proto.transition(explorer, LocalView(2, 1, here))
+    assert (dec.action, dec.writes) == (STAY, (Write(1, "cdr", 2), Write(1, "cdr_used", False)))
+    assert dec.note == {"mode": AT_ROOT, "rejoined": True, "rsr": 4}
+    ar, ec = counters
+    assert dec.core == RootedCore(mode=AT_ROOT, rounds_out=0, active_rank=ar, epoch_clock=ec)
 
 
 # -- cycle avoidance ------------------------------------------------------------------
