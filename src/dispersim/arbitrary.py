@@ -27,7 +27,8 @@ unsettled ids, each priority's leader) are computed once per node per
 round, and a robot that does not lead its node gets the Decision of the
 node-mate decided just before it when their cores, settled flags and entry
 ports are equal: a cluster moving or parked as one unit is decided by its
-leader and one follower.
+leader and one follower.  The engine then gives such followers one view
+per entry port, one action payload and one trace-line template.
 """
 
 from __future__ import annotations

@@ -11,6 +11,15 @@ model.  Locality and anonymity are enforced structurally: a LocalView
 carries a degree, the robot's own entry port and co-located robot states --
 never a node index.
 
+Node-mates share work.  The robots of a node that entered it through one
+port get one LocalView object.  A Decision object may be returned to
+several robots, so it must not change once returned.  When a robot gets the
+very Decision object that the robot transitioned just before it at its node
+got, entered through the same port, and the Decision has no extra events,
+it shares that robot's action payload, and its trace line is that robot's
+line with the id swapped.  Kept events' payloads are read-only, since they
+may be shared.
+
 Idle lane: a protocol may define ``idle(state) -> (core, note) | None``.
 ``step`` offers it each alive settled robot, with that robot's own state
 only, before building the robot's view.  An answer is a STAY with that core
@@ -130,14 +139,30 @@ class TraceEvent:
 
 
 class RoundEvents(list):
-    """One round's events from ``step``, with the lines its lane robots'
-    ``wait`` events already have: ``lines`` maps robot id -> line.  A robot
-    that takes the lane has no other event in its round."""
+    """One round's events from ``step``, with the lines some of them already
+    have: ``lines`` maps robot id -> the line of that robot's one event in
+    the round, a lane robot's ``wait`` or the action of a robot that shares
+    a Decision with a node-mate."""
 
     __slots__ = ("lines",)
 
 
 _new_object = object.__new__
+_set_round, _set_robot, _set_kind, _set_payload = (
+    TraceEvent.__dict__[name].__set__ for name in ("round", "robot", "kind", "payload")
+)
+
+
+def _event(rnd: int, rid: int, kind: str, payload: dict) -> TraceEvent:
+    """``TraceEvent(rnd, rid, kind, payload)`` through its slots' member
+    descriptors, without the frozen ``__init__``'s four ``object.__setattr__``
+    calls; equal to the constructor's event and just as frozen."""
+    event = _new_object(TraceEvent)
+    _set_round(event, rnd)
+    _set_robot(event, rid)
+    _set_kind(event, kind)
+    _set_payload(event, payload)
+    return event
 
 
 @dataclass
@@ -186,7 +211,10 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
     Crashes first; then one pass over the alive robots, node by node (nodes
     in order of their lowest robot id, robots in id order), in which each
     robot computes from its node's start-of-round states and its new core,
-    its events and its move take effect at once; then the collected writes."""
+    its events and its move take effect at once; then the collected writes.
+    A node's work is done once per node where its robots allow: one view
+    per entry port, the degree only if a robot there transitions, and one
+    payload and line template per Decision shared through one port."""
     rnd = world.round + 1
     states = dict(world.states)
     locations = dict(world.locations)
@@ -214,20 +242,22 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
     transition = protocol.transition
     idle = getattr(protocol, "idle", None)
     contested: dict[tuple[int, str], list[tuple[int, int, object]]] = {}
-    written: dict[int, str] = {}  # lane robot id -> its wait line
+    written: dict[int, str] = {}  # robot id -> its one event's line
     templates: dict[int, tuple] = {}  # id(note) -> (note, its wait-line template)
     for node, group in by_node.items():
         here = tuple(group)
-        degree = graph.degree(node)
+        degree = None  # looked up once a robot here transitions
+        views: dict[int, LocalView] = {}  # entry port -> the view of every robot that entered through it
+        last = None  # the Decision of the robot decided last here
         for st in here:
             rid = st.id
+            entry = entry_ports[rid]
             if idle is not None and st.settled:
                 tick = idle(st)
                 if tick is not None:
                     # a wait with no view: its state, its event and, from
                     # its note's template, its trace line
                     core, note = tick
-                    entry = entry_ports[rid]
                     entry_ports[rid] = 0
                     new = _new_object(RobotState)
                     new.__dict__.update(id=rid, alive=True, settled=True, core=core)
@@ -235,7 +265,7 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
                     payload = {"node": node, "entry": entry}
                     if note:
                         payload.update(note)
-                    events.append(TraceEvent(rnd, rid, "wait", payload))
+                    events.append(_event(rnd, rid, "wait", payload))
                     template = templates.get(id(note))
                     if template is None:  # the note rides along, so its id stays its own
                         template = templates[id(note)] = (note, _wait_template(note, rnd))
@@ -243,8 +273,13 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
                         head, mid, tail, end = template[1]
                         written[rid] = f"{head}{entry}{mid}{node}{tail}{rid}{end}"
                     continue
-            dec = transition(st, LocalView(degree, entry_ports[rid], here))
-            core, action, note = dec.core, dec.action, dec.note
+            view = views.get(entry)
+            if view is None:
+                if degree is None:
+                    degree = graph.degree(node)
+                view = views[entry] = LocalView(degree, entry, here)
+            dec = transition(st, view)
+            action = dec.action
             if st.settled and action == MOVE:
                 raise EngineError(f"settled robot {rid} attempted to move")
             if dec.writes:
@@ -256,21 +291,39 @@ def step(world: WorldState, graph: PortGraph, protocol, schedule: CrashSchedule)
                     if writers and writers[-1][1] == rid:  # this robot's writes are appended consecutively
                         raise EngineError(f"robot {rid} wrote field {w.field!r} of robot {w.target} twice")
                     writers.append((dec.writer_priority, rid, w.value))
-            for kind, extra in dec.events:
-                events.append(TraceEvent(rnd, rid, kind, {"node": node, **extra}))
-            states[rid] = RobotState(rid, True, st.settled or action == SETTLE, core)
-            payload = {"node": node, "entry": entry_ports[rid]}
-            if note:
-                payload.update(note)
-            if action == MOVE:
-                if not 1 <= dec.port <= degree:
-                    raise InvalidMovePort(f"robot {rid} chose port {dec.port} at a degree-{degree} node")
-                locations[rid], entry_ports[rid] = graph.neighbor(node, dec.port)
-                payload["port"] = dec.port
-                events.append(TraceEvent(rnd, rid, "move", payload))
+            states[rid] = RobotState(rid, True, st.settled or action == SETTLE, dec.core)
+            if dec is last and entry == last_entry and not dec.events:
+                # the robot decided last here got this very Decision through
+                # the same port: the same payload, and its line with this id
+                if shared is None:
+                    line = event_line(last_event)
+                    written[last_event.robot] = line + "\n"
+                    head, sep, rest = line.rpartition(',"robot":')
+                    shared = (head + sep, rest[len(str(last_event.robot)) :] + "\n")
+                written[rid] = f"{shared[0]}{rid}{shared[1]}"
+                event = _event(rnd, rid, last_event.kind, last_event.payload)
+                if action == MOVE:
+                    locations[rid], entry_ports[rid] = last_dest
+                else:
+                    entry_ports[rid] = 0
             else:
-                entry_ports[rid] = 0
-                events.append(TraceEvent(rnd, rid, "settle" if action == SETTLE else "wait", payload))
+                for kind, extra in dec.events:
+                    events.append(_event(rnd, rid, kind, {"node": node, **extra}))
+                payload = {"node": node, "entry": entry}
+                if dec.note:
+                    payload.update(dec.note)
+                if action == MOVE:
+                    if not 1 <= dec.port <= degree:
+                        raise InvalidMovePort(f"robot {rid} chose port {dec.port} at a degree-{degree} node")
+                    last_dest = locations[rid], entry_ports[rid] = graph.neighbor(node, dec.port)
+                    payload["port"] = dec.port
+                    kind = "move"
+                else:
+                    entry_ports[rid] = 0
+                    kind = "settle" if action == SETTLE else "wait"
+                event = _event(rnd, rid, kind, payload)
+                last, last_entry, last_event, shared = dec, entry, event, None
+            events.append(event)
 
     # writes land on top of their targets' new cores, the strongest writer per field
     for (target, fname), writers in contested.items():

@@ -449,6 +449,13 @@ def test_trace_event_is_one_slotted_value():
         hash(event)  # a dict payload is unhashable
     with pytest.raises(FrozenInstanceError):
         event.round = 8
+    # the events step builds, through the slots without __init__, are the same values
+    built = engine._event(7, 2, "move", {"node": 3, "entry": 0})
+    assert type(built) is engine.TraceEvent and not hasattr(built, "__dict__")
+    assert built == event and built != engine._event(7, 3, "move", {"node": 3, "entry": 0})
+    assert hash(engine._event(1, 2, "wait", None)) == hash(engine.TraceEvent(1, 2, "wait"))
+    with pytest.raises(FrozenInstanceError):
+        built.kind = "wait"
 
 
 def test_all_crash_round_one_vacuously_dispersed():
@@ -537,6 +544,100 @@ def test_a_note_with_its_own_entry_or_node_takes_event_line(note):
     assert _hashed_lines(events) == [_canonical(e) + "\n" for e in events]
 
 
+# -- node-mates that get one Decision: one view per entry port, one payload and line ----
+
+
+class SharedDecisionStub(StubProtocol):
+    """Every robot that transitions gets one Decision object; its view is kept."""
+
+    def __init__(self, decision, **kw):
+        super().__init__(**kw)
+        self.decision = decision
+        self.views = {}
+
+    def transition(self, state, view):
+        self.views[state.id] = view
+        return self.decision
+
+
+def _shared_round(decision):
+    """Robots 1-4 unsettled on node 1 of a ring, 1 and 2 entering through
+    port 1, 3 and 4 through port 2, and robot 5 on node 2, entering through
+    port 2 as well; one step of ``engine.step`` and one of the reference."""
+    g = graphs.ring(4)
+    protocol = SharedDecisionStub(decision)
+    world = engine.initial_world(g, {1: 1, 2: 1, 3: 1, 4: 1, 5: 2}, protocol)
+    world.entry_ports.update({1: 1, 2: 1, 3: 2, 4: 2, 5: 2})
+    events = engine.step(world, g, protocol, CrashSchedule())[1]
+    return protocol, events, reference_step(world, g, SharedDecisionStub(decision), CrashSchedule())[1]
+
+
+SHARED_DECISION_NOTES = [
+    {"robot": 9, "port": 7, "entry": 5, "node": "x"},
+    {"n": {"a": 0, "robot": 1}, ',"robot":': 'a "quoted" back\\slash, caf\u00e9'},
+    None,
+]
+
+
+@pytest.mark.parametrize("note", SHARED_DECISION_NOTES, ids=["own-keys", "robot-inside", "none"])
+@pytest.mark.parametrize("action", [MOVE, SETTLE, STAY])
+def test_lines_of_a_shared_decision_are_canonical_json(action, note):
+    _, events, ref_events = _shared_round(Decision(StubCore(), action, port=1 if action == MOVE else 0, note=note))
+    assert events == ref_events
+    assert _hashed_lines(events) == [_canonical(e) + "\n" for e in events]
+    # robots 1 and 2 share a line template, and so do 3 and 4; robot 5 is alone on its node
+    assert type(events) is engine.RoundEvents and sorted(events.lines) == [1, 2, 3, 4]
+    by_robot = {e.robot: e for e in events}
+    for rid, line in events.lines.items():
+        assert line == engine.event_line(by_robot[rid]) + "\n"
+    payloads = [by_robot[rid].payload for rid in range(1, 6)]
+    assert payloads[0] is payloads[1] and payloads[2] is payloads[3]
+    assert len({id(p) for p in payloads}) == 3
+
+
+def test_a_shared_decision_with_events_takes_event_line():
+    decision = Decision(StubCore(), STAY, events=(("merge", {"cid": 3}),), note={"a": 1})
+    _, events, ref_events = _shared_round(decision)
+    assert events == ref_events
+    assert not isinstance(events, engine.RoundEvents)
+    assert [(e.robot, e.kind) for e in events] == [(rid, "merge") for rid in range(1, 6)] + [
+        (rid, "wait") for rid in range(1, 6)
+    ]
+    assert _hashed_lines(events) == [_canonical(e) + "\n" for e in events]
+
+
+def test_node_mates_through_one_port_share_one_view():
+    protocol, _, _ = _shared_round(Decision(StubCore(), STAY))
+    views = protocol.views
+    assert views[1] is views[2] and views[3] is views[4]
+    assert views[1] is not views[3]
+    assert views[5] is not views[3]  # another node, through the same port
+    assert [(v.degree, v.entry_port, [s.id for s in v.co_located]) for v in (views[1], views[3], views[5])] == [
+        (2, 1, [1, 2, 3, 4]),
+        (2, 2, [1, 2, 3, 4]),
+        (2, 2, [5]),
+    ]
+
+
+def test_degree_is_looked_up_only_where_a_robot_transitions():
+    asked = []
+
+    class Graph(graphs.PortGraph):
+        def degree(self, v):
+            asked.append(v)
+            return super().degree(v)
+
+    base = graphs.path(3)
+    g = Graph(base.node_count, base.edge_count, base.adjacency)
+    protocol = IdleStub()
+    # robot 1 takes the lane alone on node 1; robot 2's idle declines; robot 3 is unsettled
+    world = engine.initial_world(g, {1: 1, 2: 2, 3: 3}, protocol)
+    world.states[1] = replace(world.states[1], settled=True, core=StubCore(tag=1))
+    world.states[2] = replace(world.states[2], settled=True, core=StubCore(tag=2))
+    engine.step(world, g, protocol, CrashSchedule())
+    assert asked == [2, 3]
+
+
 @pytest.mark.parametrize("index", [i for i, cfg in enumerate(oracle.determinism_configs()) if cfg["protocol"] == "arbitrary"])
 def test_every_arbitrary_trace_line_is_canonical_json(index):
     chunks = []
@@ -591,9 +692,12 @@ class ScriptCore:
     tag: int = 0  # the field other robots write
 
 
-_SCRIPT_NOTES = (None, {"tag": 0}, {"tag": 1, "say": "hi"})  # shared objects, as a lane's notes are
+# shared objects, as a lane's notes are, with the shared-Decision notes that
+# have payload keys of their own or ',"robot":' inside their encoding
+_SCRIPT_NOTES = (None, {"tag": 0}, {"tag": 1, "say": "hi"}, *SHARED_DECISION_NOTES[:2])
 
-# (kind, port index, writes as (target index, value), writer priority, note index, extra event)
+# (kind, port index, writes as (target index, value), writer priority, note
+# index, extra event, share the Decision of the robot before it)
 _script_moves = st.tuples(
     st.sampled_from(["idle", "stay", "settle", "move"]),
     st.integers(0, 5),
@@ -601,20 +705,26 @@ _script_moves = st.tuples(
     st.integers(0, 2),
     st.integers(0, len(_SCRIPT_NOTES) - 1),
     st.sampled_from([None, "repair", "merge"]),
+    st.booleans(),
 )
 
 
 class ScriptProtocol:
     """A protocol whose every decision is drawn, once per (robot, clock) and
     shared by every caller: a wait, a stay, a settle or a move through a
-    drawn port, writes to co-located robots' ``tag`` with drawn values and
-    priority, an extra event that reports the view's states, and a note.
+    drawn port counted from the entry port, writes to co-located robots'
+    ``tag`` with drawn values and priority, an extra event that reports the
+    view, and a note.  A drawn share flag returns instead the very Decision
+    object returned to the robot before it in its co-located tuple (the one
+    before it that does not take the idle lane), whatever its entry port,
+    events or action, unless that is a move and this robot is settled.
     ``idle`` answers a drawn wait of a settled robot exactly as
     ``transition`` does, and nothing else."""
 
     def __init__(self, data):
         self.data = data
         self.moves = {}
+        self.decided = {}  # (co-located tuple, robot id) -> the Decision returned
 
     def _move(self, state):
         key = (state.id, state.core.clock)
@@ -622,30 +732,42 @@ class ScriptProtocol:
             self.moves[key] = self.data.draw(_script_moves)
         return self.moves[key]
 
+    def _in_lane(self, state):
+        return state.settled and self._move(state)[0] == "idle"
+
     def idle(self, state):
-        kind, _, _, _, note, _ = self._move(state)
-        if kind != "idle":
+        if not self._in_lane(state):
             return None
-        return replace(state.core, clock=state.core.clock + 1), _SCRIPT_NOTES[note]
+        return replace(state.core, clock=state.core.clock + 1), _SCRIPT_NOTES[self._move(state)[4]]
 
     def transition(self, state, view):
-        kind, port, writes, priority, note, extra = self._move(state)
+        kind, port, writes, priority, note, extra, share = self._move(state)
         core = replace(state.core, clock=state.core.clock + 1)
-        if kind == "idle":
+        if self._in_lane(state):
             return Decision(core, STAY, note=_SCRIPT_NOTES[note])
         here = view.co_located
-        # one write per target: a Decision that writes one field twice is an error
-        tags = {here[i % len(here)].id: value for i, value in writes}
-        action = MOVE if kind == "move" and not state.settled else SETTLE if kind == "settle" else STAY
-        return Decision(
-            core,
-            action,
-            port=1 + port % view.degree if action == MOVE else 0,
-            writes=tuple(Write(target, "tag", value) for target, value in tags.items()),
-            events=((extra, {"saw": [(s.id, s.core.clock, s.core.tag) for s in here]}),) if extra else (),
-            note=_SCRIPT_NOTES[note],
-            writer_priority=priority,
-        )
+        before = [s for s in here[: here.index(state)] if not self._in_lane(s)]
+        shared = self.decided.get((here, before[-1].id)) if before and share else None
+        if shared is not None and not (state.settled and shared.action == MOVE):
+            dec = shared
+        elif kind == "idle":
+            dec = Decision(core, STAY, note=_SCRIPT_NOTES[note])
+        else:
+            # one write per target: a Decision that writes one field twice is an error
+            tags = {here[i % len(here)].id: value for i, value in writes}
+            action = MOVE if kind == "move" and not state.settled else SETTLE if kind == "settle" else STAY
+            saw = [(s.id, s.core.clock, s.core.tag) for s in here]
+            dec = Decision(
+                core,
+                action,
+                port=1 + (port + view.entry_port) % view.degree if action == MOVE else 0,
+                writes=tuple(Write(target, "tag", value) for target, value in tags.items()),
+                events=((extra, {"saw": saw, "entry": view.entry_port}),) if extra else (),
+                note=_SCRIPT_NOTES[note],
+                writer_priority=priority,
+            )
+        self.decided[here, state.id] = dec
+        return dec
 
 
 @settings(max_examples=150, deadline=None)
